@@ -345,7 +345,9 @@ def _bench_store_ingest_parallel(smoke: bool):
     )
 
     n = 12_000 if smoke else 60_000
-    workers = 4
+    # One worker per core, at most 4: more workers than cores would time
+    # the scheduler, not the fan-out.
+    workers = min(4, os.cpu_count() or 1)
     feed = synthetic_feed(n, num_keys=n // 3, groups=("u", "v"), seed=23)
     config = StoreConfig(k=512, tau_star=0.5, salt="bench")
     # Pre-shard to feed files so each worker parses its own shard — the

@@ -2,25 +2,14 @@
 
 Exact (ground-truth) query implementations live in
 :mod:`repro.aggregates.exact` and self-register into the
-:mod:`repro.api` query registry; the same-named helpers re-exported here
-from :mod:`repro.aggregates.queries` are deprecation shims that delegate
-to the session facade.
+:mod:`repro.api` query registry; run them by name through
+``EstimationSession().query(name, dataset, ...)``.
 """
 
 from . import exact
 from .coordinated import CoordinatedPPSSampler, CoordinatedSample, InstanceSample
 from .dataset import MultiInstanceDataset, example1_dataset
-from .queries import (
-    custom_query,
-    distinct_count,
-    jaccard_similarity,
-    lp_difference,
-    lpp_difference,
-    lpp_plus,
-    sum_aggregate,
-    target_values_batch,
-    weighted_jaccard,
-)
+from .exact import target_values_batch
 from .sum_estimator import (
     ItemEstimate,
     SumAggregateEstimator,
@@ -36,15 +25,7 @@ __all__ = [
     "InstanceSample",
     "MultiInstanceDataset",
     "example1_dataset",
-    "custom_query",
-    "distinct_count",
-    "jaccard_similarity",
-    "lp_difference",
-    "lpp_difference",
-    "lpp_plus",
-    "sum_aggregate",
     "target_values_batch",
-    "weighted_jaccard",
     "ItemEstimate",
     "SumAggregateEstimator",
     "SumEstimate",

@@ -19,8 +19,7 @@ This module holds the implementations and registers each query in the
 :mod:`repro.api` query registry (``"lp"``, ``"lpp"``, ``"lpp_plus"``,
 ``"distinct"``, ``"jaccard"``, ``"weighted_jaccard"``, ``"custom"``,
 ``"sum"``); the session facade — ``session.query("lpp", dataset, p=2)``
-— is the supported entry point, with the helpers of
-:mod:`repro.aggregates.queries` kept as deprecation shims.
+— is the supported entry point.
 """
 
 from __future__ import annotations

@@ -756,8 +756,6 @@ class ExperimentRunner:
         Resume from the record store: finalized runs are loaded outright,
         partial runs keep their recorded shard layout and skip every
         sealed shard.  Requires a records directory.
-    parquet:
-        Mirror finalized runs to parquet files (requires pyarrow).
     cost_model:
         Measured per-unit cost weights for shard sizing and queue order
         (see :mod:`repro.api.costmodel`).  ``None`` consults the
@@ -782,7 +780,6 @@ class ExperimentRunner:
         backend: BackendSpec = None,
         records_dir: Union[None, str, os.PathLike] = None,
         resume: bool = False,
-        parquet: bool = False,
         cost_model: Union[None, bool, str, os.PathLike, CostModel] = None,
     ) -> None:
         if jobs < 1:
@@ -794,8 +791,7 @@ class ExperimentRunner:
         if records_dir is None:
             records_dir = os.environ.get(ENV_RECORDS_DIR, "").strip() or None
         self._records = (
-            None if records_dir is None
-            else RecordStore(records_dir, parquet=parquet)
+            None if records_dir is None else RecordStore(records_dir)
         )
         if resume and self._records is None:
             raise ValueError(
@@ -1337,7 +1333,7 @@ class ExperimentRunner:
         if run.writer is not None and self._records is not None:
             metadata["records"] = {
                 "path": str(run.writer.final_path),
-                "format": "jsonl+parquet" if self._records.parquet else "jsonl",
+                "format": "jsonl",
                 "resumed_shards": sorted(run.resumed),
             }
         result = ExperimentResult(

@@ -47,8 +47,7 @@ run, resolve paths); :class:`RecordWriter` is the append-only writer the
 scheduler drives; :class:`StoredRun` is the parsed read view whose
 :meth:`StoredRun.to_experiment_result` feeds
 :func:`repro.experiments.report.render_result` and the cache replay
-path.  :func:`write_parquet` / :func:`read_parquet` provide an optional
-columnar mirror of the raw record stream, gated on :data:`HAVE_PYARROW`.
+path.
 """
 
 from __future__ import annotations
@@ -61,13 +60,10 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 __all__ = [
     "STORE_VERSION",
     "ENV_RECORDS_DIR",
-    "HAVE_PYARROW",
     "RecordStore",
     "RecordWriter",
     "StoredRun",
     "read_run",
-    "write_parquet",
-    "read_parquet",
 ]
 
 #: Format version stamped into every manifest; bump on layout changes.
@@ -75,15 +71,6 @@ STORE_VERSION = 1
 
 #: Environment variable supplying a default record-store directory.
 ENV_RECORDS_DIR = "REPRO_EXPERIMENT_RECORDS"
-
-try:  # pragma: no cover - exercised only where pyarrow is installed
-    import pyarrow  # noqa: F401
-    import pyarrow.parquet  # noqa: F401
-
-    HAVE_PYARROW = True
-except ImportError:  # pragma: no cover - the common case in CI
-    #: Whether the optional parquet mirror is available in this process.
-    HAVE_PYARROW = False
 
 
 class StoredRun:
@@ -414,37 +401,15 @@ class RecordStore:
     ----------
     root:
         Directory holding the run files (created on first write).
-    parquet:
-        When true, every finalized run is mirrored to a sibling
-        ``.parquet`` file holding the raw record stream (requires
-        :mod:`pyarrow`; see :data:`HAVE_PYARROW`).
-
-    Raises
-    ------
-    RuntimeError
-        When ``parquet=True`` and :mod:`pyarrow` is not installed.
     """
 
-    def __init__(
-        self, root: Union[str, os.PathLike], parquet: bool = False
-    ) -> None:
+    def __init__(self, root: Union[str, os.PathLike]) -> None:
         self._root = Path(root)
-        if parquet and not HAVE_PYARROW:
-            raise RuntimeError(
-                "parquet record mirrors require pyarrow, which is not "
-                "installed; drop parquet=True to keep JSONL-only records"
-            )
-        self._parquet = bool(parquet)
 
     @property
     def root(self) -> Path:
         """The store directory."""
         return self._root
-
-    @property
-    def parquet(self) -> bool:
-        """Whether finalized runs are mirrored to parquet."""
-        return self._parquet
 
     # ------------------------------------------------------------------
     # Paths
@@ -456,10 +421,6 @@ class RecordStore:
     def partial_path(self, key: str, digest: str) -> Path:
         """The in-progress run file for ``(key, digest)``."""
         return self._root / f"{key}-{digest}.jsonl.partial"
-
-    def parquet_path(self, key: str, digest: str) -> Path:
-        """The parquet mirror for ``(key, digest)``."""
-        return self._root / f"{key}-{digest}.parquet"
 
     # ------------------------------------------------------------------
     # Reading
@@ -548,83 +509,11 @@ class RecordStore:
     def finalize(
         self, writer: RecordWriter, result_payload: Mapping[str, Any]
     ) -> Path:
-        """Finalize ``writer`` and, when enabled, write the parquet mirror.
+        """Finalize ``writer``.
 
         Returns
         -------
         Path
             The finalized ``.jsonl`` path.
         """
-        path = writer.finalize(result_payload)
-        if self._parquet:
-            run = read_run(path)
-            if run is not None:
-                write_parquet(run, path.with_suffix(".parquet"))
-        return path
-
-
-# ----------------------------------------------------------------------
-# Optional parquet mirror
-# ----------------------------------------------------------------------
-def write_parquet(run: StoredRun, path: Union[str, os.PathLike]) -> Path:
-    """Write ``run``'s raw record stream as a parquet table.
-
-    Parameters
-    ----------
-    run:
-        A parsed run (its completed shards are written in unit order).
-    path:
-        Destination ``.parquet`` file.
-
-    Returns
-    -------
-    Path
-        The written path.
-
-    Raises
-    ------
-    RuntimeError
-        When :mod:`pyarrow` is not installed.
-    """
-    if not HAVE_PYARROW:
-        raise RuntimeError(
-            "writing parquet records requires pyarrow, which is not "
-            "installed; use the JSONL store file instead"
-        )
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    path = Path(path)
-    table = pa.Table.from_pylist(run.raw_records())
-    pq.write_table(table, path)
-    return path
-
-
-def read_parquet(path: Union[str, os.PathLike]) -> List[Dict[str, Any]]:
-    """Read a parquet record mirror back into the JSONL reader's shape.
-
-    Parameters
-    ----------
-    path:
-        A ``.parquet`` file written by :func:`write_parquet`.
-
-    Returns
-    -------
-    list of dict
-        The records in unit order — the same list the JSONL reader's
-        :meth:`StoredRun.raw_records` returns (agreement is enforced by
-        ``tests/api/test_records.py``).
-
-    Raises
-    ------
-    RuntimeError
-        When :mod:`pyarrow` is not installed.
-    """
-    if not HAVE_PYARROW:
-        raise RuntimeError(
-            "reading parquet records requires pyarrow, which is not "
-            "installed; read the JSONL store file instead"
-        )
-    import pyarrow.parquet as pq
-
-    return pq.read_table(Path(path)).to_pylist()
+        return writer.finalize(result_payload)

@@ -45,9 +45,9 @@ keywords, all of which default to the process-wide policy):
   ``estimate_lpp*`` helpers batch the per-item estimation of a
   coordinated sample (``backend="auto"`` picks the kernel when one
   applies and silently falls back to scalar otherwise);
-* the exact query helpers in :mod:`repro.aggregates.queries` accept
-  ``backend="vectorized"`` to evaluate ground truth over a dense weight
-  matrix;
+* the exact queries of :mod:`repro.aggregates.exact` (reached through
+  ``EstimationSession(backend=...).query``) evaluate ground truth over a
+  dense weight matrix under ``backend="vectorized"``;
 * :func:`repro.analysis.simulation.simulate_sum_estimate` and
   :func:`repro.analysis.variance.monte_carlo_moments` accept
   ``backend="vectorized"`` to batch their per-seed integration loops

@@ -41,9 +41,6 @@ follows one dispatch rule; ``--cache-dir`` enables the result cache
 the record store when one is active.  A failing experiment is reported
 on stderr and turns the exit code nonzero instead of escaping as a
 traceback; the remaining experiments still run.
-
-``run_experiment`` / ``run_many`` remain as deprecation shims over the
-runner for callers of the pre-spec API.
 """
 
 from __future__ import annotations
@@ -51,69 +48,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..api.backend import BACKEND_MODES
-from ..api.experiments import (
-    ExperimentRunner,
-    ExperimentSpec,
-    canonical_keys,
-    resolve_spec,
-)
+from ..api.experiments import ExperimentRunner, canonical_keys
 from ..api.records import ENV_RECORDS_DIR
 from .report import render_result
 
-__all__ = ["EXPERIMENTS", "run_experiment", "run_many", "main"]
-
-
-def _specs() -> Dict[str, ExperimentSpec]:
-    return {key: resolve_spec(key) for key in canonical_keys()}
-
-
-#: Experiment id -> registered spec (kept as a mapping for discovery and
-#: backwards compatibility with ``set(run_all.EXPERIMENTS)``).
-EXPERIMENTS: Dict[str, ExperimentSpec] = _specs()
-
-
-def run_experiment(identifier: str, full: bool = False) -> str:
-    """Deprecated: run one experiment and return its report text.
-
-    Use ``ExperimentRunner().run(identifier, scale=...)`` with
-    :func:`repro.experiments.report.render_result` instead.
-    """
-    # stacklevel=2 blames the caller of this shim, not the shim module
-    # (asserted by tests/experiments/test_shim_stacklevel.py).
-    warnings.warn(
-        "repro.experiments.run_all.run_experiment is deprecated; use "
-        "repro.api.ExperimentRunner().run(key, scale=...) and "
-        "repro.experiments.report.render_result instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    spec = resolve_spec(identifier)  # KeyError on unknown ids, as before
-    result = ExperimentRunner().run(spec, scale="full" if full else "quick")
-    return render_result(result)
-
-
-def run_many(identifiers: Optional[List[str]] = None, full: bool = False) -> str:
-    """Deprecated: run several experiments and concatenate their reports.
-
-    Use ``ExperimentRunner().run_many(...)`` instead.
-    """
-    warnings.warn(
-        "repro.experiments.run_all.run_many is deprecated; use "
-        "repro.api.ExperimentRunner().run_many(keys, scale=...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    runner = ExperimentRunner()
-    scale = "full" if full else "quick"
-    sections = []
-    for identifier in identifiers if identifiers else canonical_keys():
-        result = runner.run(identifier, scale=scale)
-        sections.append(f"### {result.key}\n{render_result(result)}")
-    return "\n\n".join(sections)
+__all__ = ["main"]
 
 
 def main(argv: Optional[List[str]] = None) -> int:

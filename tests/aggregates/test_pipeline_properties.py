@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.aggregates.coordinated import CoordinatedPPSSampler
 from repro.aggregates.dataset import MultiInstanceDataset
-from repro.aggregates.queries import lpp_plus
+from repro.aggregates.exact import lpp_plus
 from repro.aggregates.sum_estimator import SumAggregateEstimator
 from repro.core.functions import OneSidedRange
 from repro.estimators.lstar import LStarOneSidedRangePPS

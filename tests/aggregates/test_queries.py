@@ -1,9 +1,11 @@
 """Tests for exact query evaluation (the ground truth of every experiment)."""
 
+import numpy as np
 import pytest
 
+from repro import aggregates
 from repro.aggregates.dataset import MultiInstanceDataset, example1_dataset
-from repro.aggregates.queries import (
+from repro.aggregates.exact import (
     custom_query,
     distinct_count,
     jaccard_similarity,
@@ -11,6 +13,7 @@ from repro.aggregates.queries import (
     lpp_difference,
     lpp_plus,
     sum_aggregate,
+    target_values_batch,
     weighted_jaccard,
 )
 from repro.core.functions import (
@@ -127,3 +130,9 @@ class TestVectorizedBackend:
     def test_unknown_backend_rejected(self, dataset):
         with pytest.raises(ValueError, match="backend"):
             lpp_difference(dataset, 1.0, backend="numpy")
+
+    def test_target_values_batch_reexported_by_package(self):
+        assert aggregates.target_values_batch is target_values_batch
+        matrix = np.array([[0.6, 0.2], [0.1, 0.4]])
+        values = target_values_batch(OneSidedRange(p=1.0), matrix)
+        np.testing.assert_allclose(values, [0.4, 0.0])

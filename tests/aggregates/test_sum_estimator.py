@@ -5,7 +5,7 @@ import pytest
 
 from repro.aggregates.coordinated import CoordinatedPPSSampler
 from repro.aggregates.dataset import MultiInstanceDataset, example1_dataset
-from repro.aggregates.queries import lpp_difference, lpp_plus
+from repro.aggregates.exact import lpp_difference, lpp_plus
 from repro.aggregates.sum_estimator import (
     SumAggregateEstimator,
     estimate_lp,

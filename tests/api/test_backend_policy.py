@@ -105,16 +105,6 @@ class TestDefaultConsistencyRegression:
     aggregates used ``"auto"``)."""
 
     def test_all_entry_points_default_to_the_shared_policy(self):
-        from repro.aggregates.queries import (
-            custom_query,
-            distinct_count,
-            jaccard_similarity,
-            lp_difference,
-            lpp_difference,
-            lpp_plus,
-            sum_aggregate,
-            weighted_jaccard,
-        )
         from repro.aggregates.sum_estimator import (
             SumAggregateEstimator,
             estimate_lp,
@@ -123,6 +113,7 @@ class TestDefaultConsistencyRegression:
         )
         from repro.analysis.simulation import simulate_sum_estimate
         from repro.analysis.variance import monte_carlo_moments
+        from repro.api import EstimationSession
 
         entry_points = [
             SumAggregateEstimator.__init__,
@@ -131,14 +122,7 @@ class TestDefaultConsistencyRegression:
             estimate_lpp_plus,
             simulate_sum_estimate,
             monte_carlo_moments,
-            sum_aggregate,
-            lp_difference,
-            lpp_difference,
-            lpp_plus,
-            distinct_count,
-            jaccard_similarity,
-            weighted_jaccard,
-            custom_query,
+            EstimationSession.__init__,
         ]
         for func in entry_points:
             signature = inspect.signature(func)

@@ -7,8 +7,7 @@ The load-bearing guarantees:
   for a cache replay (SeedSequence-per-replication seeding);
 * the cache key is a content hash — any parameter change re-runs;
 * the golden E1 values reproduce through the runner;
-* the ``run_all`` CLI returns nonzero when an experiment raises, and the
-  legacy ``run_experiment`` / ``run_many`` helpers warn but still work.
+* the ``run_all`` CLI returns nonzero when an experiment raises.
 """
 
 import dataclasses
@@ -54,9 +53,6 @@ class TestSpecRegistry:
     def test_unknown_key_raises(self):
         with pytest.raises(KeyError):
             resolve_spec("E99")
-
-    def test_run_all_experiments_mapping(self):
-        assert set(run_all.EXPERIMENTS) == set(canonical_keys())
 
 
 class TestSpecDigest:
@@ -181,20 +177,3 @@ class TestRunAllCLI:
         assert payload[0]["scale"] == "smoke"
         assert payload[0]["metadata"]["replications"] == 4
 
-
-class TestDeprecatedShims:
-    def test_run_experiment_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="run_experiment is deprecated"):
-            report = run_all.run_experiment("E1")
-        assert "Example 1" in report
-
-    def test_run_many_warns_and_sections(self):
-        with pytest.warns(DeprecationWarning, match="run_many is deprecated"):
-            text = run_all.run_many(["E1", "E6"])
-        assert "### E1" in text and "### E6" in text
-        assert "### E9" not in text
-
-    def test_run_experiment_unknown_id_raises(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(KeyError):
-                run_all.run_experiment("E99")

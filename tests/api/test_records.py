@@ -9,24 +9,14 @@ The load-bearing guarantees:
   ``shard_done`` markers survived, so an interrupted run resumes instead
   of corrupting;
 * resuming carries completed shards (and the recorded shard layout)
-  into the fresh stream verbatim;
-* the optional parquet mirror agrees with the JSONL reader record for
-  record — and degrades to a clear error when pyarrow is absent.
+  into the fresh stream verbatim.
 """
 
 import json
 
 import pytest
 
-from repro.api import records as records_mod
-from repro.api.records import (
-    HAVE_PYARROW,
-    RecordStore,
-    StoredRun,
-    read_parquet,
-    read_run,
-    write_parquet,
-)
+from repro.api.records import RecordStore, read_run
 
 MANIFEST = {
     "version": 1,
@@ -185,25 +175,3 @@ class TestTruncationAndResume:
         assert run is not None and run.is_complete
         assert store.load("EX", "0000000000000000") is None
 
-
-class TestParquetMirror:
-    def test_write_requires_pyarrow_or_fails_clearly(self, tmp_path, monkeypatch):
-        store = RecordStore(tmp_path)
-        path = _write_full_run(store)
-        run = read_run(path)
-        monkeypatch.setattr(records_mod, "HAVE_PYARROW", False)
-        with pytest.raises(RuntimeError, match="pyarrow"):
-            write_parquet(run, tmp_path / "x.parquet")
-        with pytest.raises(RuntimeError, match="pyarrow"):
-            read_parquet(tmp_path / "x.parquet")
-        with pytest.raises(RuntimeError, match="pyarrow"):
-            RecordStore(tmp_path, parquet=True)
-
-    @pytest.mark.skipif(not HAVE_PYARROW, reason="pyarrow not installed")
-    def test_parquet_and_jsonl_readers_agree(self, tmp_path):
-        store = RecordStore(tmp_path, parquet=True)
-        path = _write_full_run(store)
-        run = read_run(path)
-        mirror = store.parquet_path("EX", "abc123")
-        assert mirror.exists()
-        assert read_parquet(mirror) == run.raw_records()

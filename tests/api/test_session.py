@@ -12,8 +12,10 @@ import math
 import numpy as np
 import pytest
 
-from repro.api import BackendPolicy, EstimationSession, Session
+from repro.api import QUERIES, BackendPolicy, EstimationSession, Session
+from repro.aggregates import exact
 from repro.aggregates.dataset import MultiInstanceDataset, example1_dataset
+from repro.core.functions import AbsoluteCombination
 
 #: The E1 golden numbers frozen by tests/experiments/test_golden.py.
 E1_GOLDEN = {
@@ -267,6 +269,87 @@ class TestSessionDatasetEstimation:
         full = session.estimate(sample).value
         subset = session.estimate(sample, selection=["a", "c"]).value
         assert 0.0 <= subset <= full
+
+
+class TestSessionExactQueries:
+    """Every built-in exact query, through ``EstimationSession().query``."""
+
+    #: Query name -> keyword arguments beyond the dataset.  The "sum" item
+    #: function follows the dual contract: per-tuple on the scalar path,
+    #: per-row over the dense matrix on the vectorized path.
+    CASES = {
+        "sum": {
+            "item_function": lambda t: np.asarray(t, dtype=float).sum(axis=-1)
+        },
+        "lp": {"p": 2.0, "instances": (0, 1)},
+        "lpp": {"p": 1.0, "instances": (0, 1)},
+        "lpp_plus": {"p": 1.0, "instances": (0, 1),
+                     "selection": ["b", "c", "e"]},
+        "distinct": {"instances": (0, 1)},
+        "jaccard": {"instances": (0, 1)},
+        "weighted_jaccard": {"instances": (0, 1)},
+        "custom": {"target": AbsoluteCombination([1.0, -2.0, 1.0], p=2.0),
+                   "instances": (0, 1, 2)},
+    }
+
+    def test_cases_cover_every_built_in_query(self):
+        """New built-in queries must be added to the parity grid."""
+        built_in = {
+            name for name in QUERIES
+            if QUERIES.get(name).__module__ == exact.__name__
+        }
+        assert built_in == set(self.CASES)
+
+    @pytest.mark.parametrize("query", sorted(CASES))
+    def test_scalar_and_vectorized_agree(self, query):
+        dataset = example1_dataset()
+        kwargs = self.CASES[query]
+        scalar = EstimationSession(backend="scalar").query(
+            query, dataset, **kwargs
+        )
+        vectorized = EstimationSession(backend="vectorized").query(
+            query, dataset, **kwargs
+        )
+        assert (scalar.backend, vectorized.backend) == ("scalar", "vectorized")
+        assert scalar.value == pytest.approx(
+            QUERIES.get(query)(dataset, backend="scalar", **kwargs), rel=1e-12
+        )
+        assert vectorized.value == pytest.approx(scalar.value, rel=1e-9)
+
+    @pytest.mark.parametrize("where", ["session", "query"])
+    def test_invalid_backend_raises(self, where):
+        with pytest.raises(ValueError, match="backend"):
+            if where == "session":
+                EstimationSession(backend="numpy")
+            else:
+                EstimationSession().query(
+                    "lpp", example1_dataset(), p=1.0, backend="numpy"
+                )
+
+    def test_sum_never_auto_switches_contracts(self):
+        """The scalar and vectorized paths hand item_function different
+        inputs, so the auto policy must stay scalar for "sum" no matter
+        how large the dataset is (regression: a per-tuple function on a
+        600-item dataset used to hit the matrix contract and crash)."""
+        rng = np.random.default_rng(8)
+        big = MultiInstanceDataset(
+            ["a", "b"], {f"k{i}": tuple(rng.random(2)) for i in range(600)}
+        )
+        per_tuple = lambda tup: max(tup) - min(tup)  # noqa: E731
+        auto = EstimationSession(backend="auto").query(
+            "sum", big, item_function=per_tuple
+        )
+        assert auto.backend == "scalar"
+        assert auto.value == pytest.approx(
+            exact.sum_aggregate(big, per_tuple, backend="scalar"), rel=1e-12
+        )
+        # An explicit vectorized request still opts into the matrix
+        # contract.
+        per_row = lambda m: np.abs(m[:, 0] - m[:, 1])  # noqa: E731
+        vectorized = EstimationSession(backend="vectorized").query(
+            "sum", big, item_function=per_row
+        )
+        assert vectorized.value == pytest.approx(auto.value, rel=1e-9)
 
 
 class TestSessionAnalysis:

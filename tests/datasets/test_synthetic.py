@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.aggregates.queries import lpp_difference, weighted_jaccard
+from repro.aggregates.exact import lpp_difference, weighted_jaccard
 from repro.datasets.synthetic import (
     ip_flow_pairs,
     similarity_controlled_pairs,

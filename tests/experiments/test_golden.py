@@ -15,7 +15,7 @@ import pytest
 
 from repro.experiments import example1, example2
 from repro.aggregates.dataset import example1_dataset
-from repro.aggregates.queries import lpp_difference
+from repro.aggregates.exact import lpp_difference
 from repro.aggregates.sum_estimator import estimate_lpp, estimate_lpp_plus
 
 #: query -> (selection, frozen value) for experiment E1.

@@ -2,8 +2,14 @@
 
 import pytest
 
+from repro.api.experiments import ExperimentRunner, canonical_keys
 from repro.experiments import run_all
-from repro.experiments.report import format_mapping, format_series, format_table
+from repro.experiments.report import (
+    format_mapping,
+    format_series,
+    format_table,
+    render_result,
+)
 
 
 class TestReportHelpers:
@@ -36,23 +42,23 @@ class TestReportHelpers:
 
 class TestRunAll:
     def test_known_ids(self):
-        assert set(run_all.EXPERIMENTS) == {
+        assert set(canonical_keys()) == {
             "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11",
         }
 
     def test_unknown_id_raises(self):
         with pytest.raises(KeyError):
-            run_all.run_experiment("E99")
+            ExperimentRunner().run("E99", scale="quick")
 
     @pytest.mark.parametrize("identifier", ["E1", "E2", "E5", "E6"])
     def test_individual_quick_reports(self, identifier):
-        report = run_all.run_experiment(identifier, full=False)
+        report = render_result(ExperimentRunner().run(identifier, scale="quick"))
         assert identifier in report or "Example" in report or "Theorem" in report
 
     def test_run_many_selected(self):
-        text = run_all.run_many(["E1", "E6"], full=False)
-        assert "### E1" in text and "### E6" in text
-        assert "### E9" not in text
+        results = ExperimentRunner().run_many(["E1", "E6"], scale="quick")
+        assert [r.key for r in results] == ["E1", "E6"]
+        assert all(render_result(r) for r in results)
 
     @pytest.mark.slow
     def test_cli_main_quick_subset(self, capsys):

@@ -189,7 +189,7 @@ class TestMerge:
 class TestCoordinatedSampleBridge:
     def test_estimators_accept_store_samples(self):
         from repro.aggregates.sum_estimator import estimate_lpp
-        from repro.aggregates.queries import lpp_difference
+        from repro.aggregates.exact import lpp_difference
         from repro.aggregates.dataset import MultiInstanceDataset
         import warnings
 

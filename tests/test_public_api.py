@@ -73,7 +73,6 @@ class TestEndToEndSmoke:
             CoordinatedPPSSampler,
             MultiInstanceDataset,
             estimate_lpp,
-            lpp_difference,
         )
 
         dataset = MultiInstanceDataset(
@@ -86,5 +85,5 @@ class TestEndToEndSmoke:
             estimate_lpp(sampler.sample(dataset, rng=rng), p=1.0)
             for _ in range(400)
         ]
-        truth = lpp_difference(dataset, 1.0)
+        truth = repro.EstimationSession().query("lpp", dataset, p=1.0).value
         assert sum(estimates) / len(estimates) == pytest.approx(truth, rel=0.25)
