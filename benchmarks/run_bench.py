@@ -561,9 +561,11 @@ def _bench_store_router(smoke: bool):
 
     return (
         # Wire ingest plus the mixed query load, everything through the
-        # 2-shard router: key-split ingest fan-out, but every query pays
-        # view gather + fuse, so expect an honest sub-1x "speedup" on a
-        # query-heavy mix — the router buys capacity, not latency.
+        # 2-shard router: key-split ingest fan-out, and every query pays
+        # one view round trip per shard (an "unchanged" line once the
+        # per-group view cache is warm) before the fused store answers,
+        # so expect a sub-1x "speedup" on a query-heavy mix — the router
+        # buys capacity, not latency.
         lambda: asyncio.run(drive_router()),
         n + clients * per_client,
         {

@@ -30,7 +30,9 @@ coalescing / retention / replication / admission families; the shard
 router adds ``router_shard_requests_total{shard=,op=}`` and
 ``router_routed_events_total{shard=}`` (per-shard routed-op counters),
 ``router_gather_seconds{kind=}`` (scatter-gather latency),
-``router_view_cache_hits_total{shard=}``,
+``router_view_cache_hits_total{shard=}`` (view fetches a shard
+answered ``unchanged`` because every ``(group, kind)`` the query needs
+was cached at its current tag),
 ``router_failovers_total{shard=}`` / ``router_promotions_total{shard=}``
 (re-targeting), and ``router_unavailable_total``; a promotable replica
 counts ``serving_promotions_total`` when its hand-over runs.  The

@@ -16,11 +16,19 @@ them answer as one store:
   vector and their sum as the routed watermark.
 * **Scatter-gather queries** — ``sum``/``distinct``/``similarity`` are
   answered by gathering each shard's *serialized sketch views*
-  (``shard_view`` responses, cached against each shard's
-  ``(offset, watermark)`` mutation tag), fusing them with
+  (``shard_view`` responses), fusing them with
   :func:`~repro.serving.store.merge_sketch_views`, and running the
   fused store through the identical
-  :meth:`~repro.serving.store.SketchStore.query` code path.  Because
+  :meth:`~repro.serving.store.SketchStore.query` code path.  Each
+  shard slot caches the views it has fetched per ``(group, kind)``,
+  against the shard's one current ``(offset, watermark)`` mutation
+  tag: when every pair a query needs is cached, the shard is asked
+  only whether its tag moved and normally answers one ``unchanged``
+  line.  The fused store persists between queries, keyed by the
+  per-shard ``(epoch, offset, watermark)`` cut, and is only extended
+  with pairs not yet fused — so its derived reductions survive too,
+  and a steady-state routed query costs the ``unchanged`` round trips
+  plus the same store query a single server runs.  Because
   coordinated sketches over disjoint key populations merge exactly,
   routed answers are **bit-identical** to an unsharded store at the
   same watermark cut — the property suite pins ``==``, not ``approx``.
@@ -62,15 +70,15 @@ answer describes, and a quiesced router answers at the exact global
 cut, which is what the parity suites compare against.
 
 The router is deliberately store-less and almost stateless: shard
-watermarks and cached views are reconstructed from shard responses, so
-a router restart needs no recovery protocol.
+watermarks, cached views and the fused store are reconstructed from
+shard responses, so a router restart needs no recovery protocol.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .events import ROUTING_SALT, Event, shard_events
 from .metrics import MetricsRegistry
@@ -84,7 +92,7 @@ from .server import (
     ServingError,
     ShardUnavailable,
 )
-from .store import StoreConfig, merge_sketch_views
+from .store import SketchStore, StoreConfig, merge_sketch_views
 
 __all__ = ["ShardRouter", "ShardSlot"]
 
@@ -95,18 +103,24 @@ _QUERY_VIEW_KINDS = {
     "distinct": ("ads",),
 }
 
-#: Cap on cached view shapes per shard (distinct ``(groups, kinds)``
-#: selections); the common serving mix uses a handful.
-_VIEW_CACHE_SHAPES = 32
-
-
 class ShardSlot:
-    """One shard's routing state: endpoint chain, live client, watermark.
+    """One shard's routing state: endpoint chain, live client, view cache.
 
     ``endpoints[0]`` is the preferred primary; the rest are fallbacks
     (typically the shard's followers) scanned in order on failure.  A
     successful failover rotates the winning endpoint to the front, so
     subsequent reconnects try the promoted primary first.
+
+    The view cache holds one shard cut only: ``tag`` is the shard's
+    ``(offset, watermark)`` when the cached views were served, ``views``
+    maps each fetched ``(group, kind)`` to its serialized sketch,
+    ``absent`` names requested groups the shard did not hold at that
+    tag, and ``listed`` records that a default-selection fetch saw every
+    group (so any group outside ``present`` is absent too).  A fetch at
+    a different tag replaces the whole cache.  ``epoch`` counts
+    re-targets; it is part of the router's fused-store key because a
+    promoted primary restarts its offsets, so a tag alone could name
+    different cuts on different servers.
     """
 
     def __init__(
@@ -121,19 +135,70 @@ class ShardSlot:
         self.client: Optional[ServingClient] = None
         self.watermark = 0
         self.failovers = 0
-        #: ``(groups, kinds) -> (offset, watermark, view payload)``.
-        self.view_cache: Dict[Tuple, Tuple[int, int, Dict[str, Any]]] = {}
+        self.epoch = 0
         self.lock = asyncio.Lock()
+        self.invalidate_views()
 
     def invalidate_views(self) -> None:
-        """Drop cached views (after re-targeting to a different server).
+        """Drop cached views and start a new epoch (after re-targeting)."""
+        self.epoch += 1
+        self._reset(None)
 
-        Within one primary the ``(offset, watermark)`` tag identifies
-        the mutation cut exactly, but a *promoted* primary restarts
-        offsets from 0, so a tag could collide across servers; clearing
-        on every re-target keeps the cache sound.
+    def _reset(self, tag: Optional[Tuple[int, int]]) -> None:
+        self.tag = tag
+        self.views: Dict[Tuple[str, str], Dict[str, Any]] = {}
+        self.present: Set[str] = set()
+        self.absent: Set[str] = set()
+        self.listed = False
+
+    def cached_views(
+        self, groups: Optional[Sequence[str]], kinds: Sequence[str]
+    ) -> Optional[Dict[str, Dict[str, Any]]]:
+        """``{group: {kind: payload}}`` for a selection at ``tag``.
+
+        ``None`` when any group's presence or any needed payload is not
+        cached; absent groups are left out, as the shard leaves them out.
         """
-        self.view_cache.clear()
+        if self.tag is None:
+            return None
+        if groups is None:
+            if not self.listed:
+                return None
+            groups = self.present
+        selected: Dict[str, Dict[str, Any]] = {}
+        for group in groups:
+            if group in self.present:
+                sketches = {}
+                for kind in kinds:
+                    payload = self.views.get((group, kind))
+                    if payload is None:
+                        return None
+                    sketches[kind] = payload
+                selected[group] = sketches
+            elif not (self.listed or group in self.absent):
+                return None
+        return selected
+
+    def record(
+        self,
+        tag: Tuple[int, int],
+        groups: Optional[Sequence[str]],
+        view_groups: Mapping[str, Mapping[str, Any]],
+    ) -> None:
+        """Cache a fetched view of ``groups`` (``None``: every group)."""
+        if tag != self.tag:
+            self._reset(tag)
+        for group, sketches in view_groups.items():
+            self.present.add(group)
+            self.absent.discard(group)
+            for kind, payload in sketches.items():
+                self.views[group, kind] = payload
+        if groups is None:
+            self.listed = True
+        else:
+            self.absent.update(
+                group for group in groups if group not in view_groups
+            )
 
     def describe(self) -> Dict[str, Any]:
         """The slot's entry in the router's ``info`` payload."""
@@ -226,6 +291,11 @@ class ShardRouter(JSONLinesServer):
         self._health_interval = health_interval
         self._config: Optional[StoreConfig] = None
         self._health_task: Optional[asyncio.Task] = None
+        #: The persistent fused store, the per-slot ``(epoch, offset,
+        #: watermark)`` cut it describes, and its fused (group, kind) pairs.
+        self._fused: Optional[SketchStore] = None
+        self._fused_cut: Tuple[Tuple[int, int, int], ...] = ()
+        self._fused_pairs: Set[Tuple[str, str]] = set()
 
     @property
     def slots(self) -> List[ShardSlot]:
@@ -375,6 +445,7 @@ class ShardRouter(JSONLinesServer):
         slot.client = client
         slot.watermark = int(info.get("events_ingested", slot.watermark))
         slot.invalidate_views()
+        self._fused = None
         if slot.endpoints[0] != was_primary:
             slot.failovers += 1
             self._metrics.counter(
@@ -494,40 +565,78 @@ class ShardRouter(JSONLinesServer):
         slot: ShardSlot,
         groups: Optional[Sequence[str]],
         kinds: Sequence[str],
-    ) -> Dict[str, Any]:
-        """One shard's view payload, through the per-slot view cache."""
-        cache_key = (
-            None if groups is None else tuple(groups),
-            tuple(kinds),
-        )
+    ) -> Tuple[Tuple[int, int, int], Dict[str, Dict[str, Any]]]:
+        """One shard's views of a selection, through the slot's cache.
+
+        Returns the ``(epoch, offset, watermark)`` cut the views describe
+        and ``{group: {kind: payload}}``.  The cached views are captured
+        before the request, so the answer never mixes in what a
+        concurrent query cached while this one was in flight.
+        """
+        epoch, tag = slot.epoch, slot.tag
+        cached = slot.cached_views(groups, kinds)
         fields: Dict[str, Any] = {"kinds": list(kinds)}
         if groups is not None:
             fields["groups"] = list(groups)
-        entry = slot.view_cache.get(cache_key)
-        if entry is not None:
-            fields["since_offset"] = entry[0]
-            fields["since_watermark"] = entry[1]
+        if cached is not None:
+            fields["since_offset"], fields["since_watermark"] = tag
         response = await self._shard_request(slot, "shard_view", **fields)
+        if slot.epoch != epoch:
+            # Re-targeted mid-request: the answer may come from another
+            # server, whose tags are not comparable with this epoch's.
+            return await self._shard_view(slot, groups, kinds)
         slot.watermark = int(response["watermark"])
-        if response.get("unchanged") and entry is not None:
+        tag = (int(response["offset"]), slot.watermark)
+        if response.get("unchanged"):
             self._metrics.counter(
                 "router_view_cache_hits_total",
                 help="shard view fetches answered unchanged, by shard",
                 shard=str(slot.index),
             ).inc()
-            return entry[2]
-        view = response["view"]
-        if (
-            cache_key not in slot.view_cache
-            and len(slot.view_cache) >= _VIEW_CACHE_SHAPES
-        ):
-            slot.view_cache.pop(next(iter(slot.view_cache)))
-        slot.view_cache[cache_key] = (
-            int(response["offset"]),
-            int(response["watermark"]),
-            view,
-        )
-        return view
+            return (epoch, *tag), cached
+        view_groups = response["view"]["groups"]
+        slot.record(tag, groups, view_groups)
+        return (epoch, *tag), view_groups
+
+    def _fuse(
+        self,
+        cut: Tuple[Tuple[int, int, int], ...],
+        gathered: Sequence[Mapping[str, Mapping[str, Any]]],
+        groups: Sequence[str],
+        kinds: Sequence[str],
+    ) -> SketchStore:
+        """The fused store at ``cut``, extended with the selection's views.
+
+        A different cut starts a new store; at the same cut only the
+        ``(group, kind)`` pairs not fused yet are merged in, so cached
+        views and their derived reductions carry over between queries.
+        """
+        if self._fused is None or cut != self._fused_cut:
+            self._fused, self._fused_cut, self._fused_pairs = None, cut, set()
+        pairs = {(group, kind) for group in groups for kind in kinds}
+        pairs -= self._fused_pairs
+        if self._fused is None or pairs:
+            config = self._config.to_dict()
+            views = [
+                {
+                    "config": config,
+                    "watermark": watermark,
+                    "groups": {
+                        group: {
+                            kind: payload
+                            for kind, payload in sketches.items()
+                            if (group, kind) in pairs
+                        }
+                        for group, sketches in view_groups.items()
+                    },
+                }
+                for (_, _, watermark), view_groups in zip(cut, gathered)
+            ]
+            self._fused = merge_sketch_views(
+                self._config, views, into=self._fused
+            )
+            self._fused_pairs |= pairs
+        return self._fused
 
     async def _query_op(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         kind = payload.get("kind")
@@ -560,7 +669,13 @@ class ShardRouter(JSONLinesServer):
         for result in results:
             if isinstance(result, BaseException):
                 raise result
-        fused = merge_sketch_views(self._config, results)
+        cut = tuple(key for key, _ in results)
+        gathered = [view_groups for _, view_groups in results]
+        if groups is None:
+            # The fused store may hold groups materialised by earlier
+            # explicit selections, so never default to its own groups.
+            groups = sorted({group for views in gathered for group in views})
+        fused = self._fuse(cut, gathered, groups, view_kinds)
         until = payload.get("until")
         result = fused.query(
             kind,
@@ -569,7 +684,15 @@ class ShardRouter(JSONLinesServer):
             until=None if until is None else float(until),
             backend=payload.get("backend"),
         )
-        return {"ok": True, "result": result, **self._watermark_fields()}
+        # The cut the gathered views describe, not the slots' current
+        # watermarks, which an ingest may have advanced meanwhile.
+        watermarks = [watermark for _, _, watermark in cut]
+        return {
+            "ok": True,
+            "result": result,
+            "watermark": sum(watermarks),
+            "watermarks": watermarks,
+        }
 
     async def _evict_op(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         fields = {

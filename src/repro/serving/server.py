@@ -906,7 +906,11 @@ class SketchServer(JSONLinesServer):
         the store's content cut across restarts far more robustly than
         either alone.  When the caller's ``since_offset`` /
         ``since_watermark`` match, the response is a bare ``unchanged``
-        acknowledgement — the router's view cache rides on this.
+        acknowledgement.  The router's view cache rides on this: it
+        keeps each fetched ``(group, kind)`` payload at the shard's one
+        current tag and sends ``since_*`` only when every pair a query
+        needs is cached, so one unchanged line answers any subset of
+        the groups it fetched before.
         """
         offset = self._hub.offset
         watermark = self._store.events_ingested

@@ -719,9 +719,11 @@ def sketch_view_payload(
 
 
 def merge_sketch_views(
-    config: StoreConfig, views: Sequence[Mapping[str, Any]]
+    config: StoreConfig,
+    views: Sequence[Mapping[str, Any]],
+    into: Optional[SketchStore] = None,
 ) -> SketchStore:
-    """Fuse shipped sketch views into a transient, queryable store.
+    """Fuse shipped sketch views into a queryable store.
 
     Per group and kind, the shards' sketches are merged with the
     sketch-level merge operations (exact over key-routed — hence
@@ -733,6 +735,12 @@ def merge_sketch_views(
     fused views and whose watermark is the sum of the shards'; queries
     against it run the identical reduction code path as against any
     other store, which is what makes routed answers bit-identical.
+
+    ``into`` extends an earlier result in place and returns it: the
+    views must describe the same cut and carry only ``(group, kind)``
+    pairs it does not hold yet; its other views and their derived
+    reductions are kept.  The shard router keeps its fused store
+    between queries this way.
 
     Raises
     ------
@@ -757,7 +765,7 @@ def merge_sketch_views(
                 target[kind] = (
                     sketch if prior is None else prior.merge(sketch)
                 )
-    store = SketchStore(config)
+    store = SketchStore(config) if into is None else into
     store._events = watermark
     for group, sketches in fused.items():
         state = store.group_state(group)

@@ -142,6 +142,39 @@ class TestFailoverPromotion:
 
         asyncio.run(run())
 
+    def test_failover_with_a_warm_view_cache(self):
+        async def run():
+            feed = synthetic_feed(
+                240, num_keys=50, groups=("g1", "g2"), seed=23
+            )
+            async with failover_cluster() as (
+                client,
+                _router,
+                primary0,
+                _primary1,
+                replica,
+            ):
+                acked = feed[:160]
+                for start in range(0, len(acked), 40):
+                    await client.ingest(acked[start : start + 40])
+                await wait_for(
+                    lambda: replica.store.events_ingested
+                    == primary0.store.events_ingested
+                )
+                # Warm the view cache and the fused store, then kill.
+                await assert_routed_parity(client, acked)
+                await primary0.stop()
+                # The first query after the kill fails over and promotes
+                # mid-gather; the cache of the dead primary's epoch must
+                # not answer for the promoted one.
+                await assert_routed_parity(client, acked)
+                assert replica.promoted
+                for start in range(160, len(feed), 40):
+                    await client.ingest(feed[start : start + 40])
+                await assert_routed_parity(client, feed)
+
+        asyncio.run(run())
+
     def test_double_failure_is_typed_unavailability_not_a_wedge(self):
         async def run():
             feed = synthetic_feed(

@@ -13,9 +13,11 @@ the identical store-query code path, so no floating-point reduction
 ever runs in a different order than it would unsharded.
 
 Also pinned here: the per-shard watermark vector on every routed
-answer, the ``(offset, watermark)``-tagged view cache (hits counted,
-eviction invalidates), TTL eviction parity, and the router's typed
-rejection of unroutable requests.  The exhaustive shard-count × op grid
+answer (the cut of the gathered views, even when an ingest lands
+mid-gather), the per-``(group, kind)`` view cache tagged by
+``(offset, watermark)`` (any subset of fetched groups hits and fuses
+nothing new; ingest and eviction invalidate), TTL eviction parity, and
+the router's typed rejection of unroutable requests.  The exhaustive shard-count × op grid
 runs under ``pytest -m slow``; failover and promotion live in
 ``test_promotion.py``.
 """
@@ -26,6 +28,7 @@ from contextlib import asynccontextmanager
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro.serving.router as router_module
 from repro.serving import (
     Event,
     ServingClient,
@@ -34,6 +37,7 @@ from repro.serving import (
     SketchServer,
     SketchStore,
     StoreConfig,
+    shard_events,
     synthetic_feed,
 )
 
@@ -168,23 +172,122 @@ class TestRoutedParity:
 
         asyncio.run(run())
 
+    def test_answer_reports_the_cut_of_its_gathered_views(self):
+        async def run():
+            feed = synthetic_feed(
+                160, num_keys=40, groups=("g1", "g2"), seed=13
+            )
+            async with router_cluster(2) as (_router, client, servers):
+                await client.ingest(feed[:100])
+                # Hold shard 1's view until a routed ingest has landed,
+                # so shard 0's view is gathered at an earlier cut.
+                held, release = asyncio.Event(), asyncio.Event()
+                dispatch = servers[1]._dispatch
+
+                async def hold_views(payload, writer):
+                    if payload.get("op") == "shard_view":
+                        held.set()
+                        await release.wait()
+                    return await dispatch(payload, writer)
+
+                servers[1]._dispatch = hold_views
+                query = asyncio.create_task(client.query("sum"))
+                await held.wait()
+                ingested = await client.ingest(feed[100:])
+                release.set()
+                routed = await query
+                baseline = SketchStore(CONFIG)
+                for shard, watermark in zip(
+                    shard_events(feed, 2), routed["watermarks"]
+                ):
+                    baseline.ingest(shard[:watermark])
+                assert routed["watermark"] == baseline.events_ingested
+                assert routed["result"] == baseline.query("sum")
+                # The hold did split the cut: shard 0 answered before
+                # the ingest reached it.
+                assert routed["watermarks"][0] < ingested["watermarks"][0]
+
+        asyncio.run(run())
+
+
+def cache_hits(router):
+    return sum(
+        value
+        for name, value in router.metrics.snapshot()["counters"].items()
+        if name.startswith("router_view_cache_hits_total")
+    )
+
 
 class TestViewCache:
-    def test_repeat_queries_hit_the_view_cache(self):
+    def test_views_are_cached_per_group_and_fused_once(self, monkeypatch):
+        fuses = []
+        merge = router_module.merge_sketch_views
+
+        def counting_merge(*args, **kwargs):
+            fuses.append(args)
+            return merge(*args, **kwargs)
+
+        monkeypatch.setattr(router_module, "merge_sketch_views", counting_merge)
+
         async def run():
-            feed = synthetic_feed(100, num_keys=20, groups=("g1",), seed=1)
+            feed = synthetic_feed(
+                150, num_keys=30, groups=("g1", "g2", "g3"), seed=1
+            )
+            baseline = SketchStore(CONFIG)
+            baseline.ingest(feed)
             async with router_cluster(2) as (router, client, _servers):
                 await client.ingest(feed)
-                first = await client.query("sum")
-                again = await client.query("sum")
-                assert again["result"] == first["result"]
-                snapshot = router.metrics.snapshot()
-                hits = sum(
-                    value
-                    for name, value in snapshot["counters"].items()
-                    if name.startswith("router_view_cache_hits_total")
+                routed = await client.query("sum", groups=["g1", "g2", "g3"])
+                assert routed["result"] == baseline.query(
+                    "sum", groups=["g1", "g2", "g3"]
                 )
-                assert hits == 2  # both shards answered "unchanged"
+                assert len(fuses) == 1
+                # Any subset of the fetched groups, for any query kind
+                # that needs the same sketch kind, ships no view.
+                for kind, groups in (
+                    ("sum", ["g2"]),
+                    ("sum", ["g1", "g3"]),
+                    ("similarity", ["g1", "g3"]),
+                ):
+                    hits = cache_hits(router)
+                    routed = await client.query(kind, groups=groups)
+                    assert routed["result"] == baseline.query(
+                        kind, groups=groups
+                    )
+                    assert cache_hits(router) == hits + 2  # both shards
+                assert len(fuses) == 1
+                # An ingest moves the shards' tags: re-fetch, fuse anew.
+                more = synthetic_feed(
+                    40, num_keys=30, groups=("g1", "g2", "g3"), seed=4
+                )
+                baseline.ingest(more)
+                await client.ingest(more)
+                hits = cache_hits(router)
+                routed = await client.query("sum", groups=["g2"])
+                assert routed["result"] == baseline.query("sum", groups=["g2"])
+                assert routed["watermark"] == baseline.events_ingested
+                assert cache_hits(router) < hits + 2
+                assert len(fuses) == 2
+
+        asyncio.run(run())
+
+    def test_phantom_group_does_not_leak_into_default_selection(self):
+        async def run():
+            feed = synthetic_feed(80, num_keys=20, groups=("g1", "g2"), seed=6)
+            baseline = SketchStore(CONFIG)
+            baseline.ingest(feed)
+            expected = baseline.query("sum")
+            async with router_cluster(2) as (_router, client, _servers):
+                # An empty selection on a cold cache is a miss, not a hit.
+                routed = await client.query("sum", groups=[])
+                assert routed["result"] == {}
+                await client.ingest(feed)
+                routed = await client.query("sum", groups=["absent"])
+                assert routed["result"] == {"absent": 0.0}
+                # The fused store materialised "absent" while answering;
+                # the default selection is the gathered groups only.
+                routed = await client.query("sum")
+                assert routed["result"] == expected
 
         asyncio.run(run())
 
