@@ -53,6 +53,14 @@ class CoordinatedSample:
     (that is all the estimator needs: items sampled nowhere contribute a
     zero estimate for the zero-revealing targets used in the paper, and
     their seeds are reproducible from the hash anyway).
+
+    A sample is held in one of two forms and derives the other on first
+    use: per-instance entry dicts plus a seed map (what the constructor,
+    :meth:`from_instance_samples` and :class:`CoordinatedPPSSampler`
+    build), or columns in :meth:`sampled_items` order
+    (:meth:`from_columns`, the sketch store's form).  The sample is
+    immutable, so its key order and its :meth:`batch` are computed once;
+    the columnar form holds its batch from the start.
     """
 
     def __init__(
@@ -62,8 +70,13 @@ class CoordinatedSample:
         seeds: Mapping[ItemKey, float],
     ) -> None:
         self._scheme = scheme
-        self._instances = tuple(instance_samples)
-        self._seeds = dict(seeds)
+        self._instances: Optional[Tuple[InstanceSample, ...]] = tuple(
+            instance_samples
+        )
+        self._names = tuple(sample.instance for sample in self._instances)
+        self._seeds: Optional[Dict[ItemKey, float]] = dict(seeds)
+        self._keys: Optional[Tuple[ItemKey, ...]] = None
+        self._batch = None
 
     @classmethod
     def from_instance_samples(
@@ -97,32 +110,124 @@ class CoordinatedSample:
         kept = {key: float(seeds[key]) for key in retained}
         return cls(scheme, tuple(instance_samples), kept)
 
+    @classmethod
+    def from_columns(
+        cls,
+        instances: Sequence[str],
+        tau_stars: Sequence[float],
+        keys: Sequence[ItemKey],
+        seeds: np.ndarray,
+        values: np.ndarray,
+    ) -> "CoordinatedSample":
+        """A coordinated PPS sample given as columns.
+
+        ``keys`` are the retained items sorted by ``repr`` (the order of
+        :meth:`sampled_items`), ``seeds`` their shape ``(n,)`` seeds, and
+        ``values`` a shape ``(n, r)`` array whose column ``i`` holds
+        instance ``i``'s sampled weights, with ``NaN`` where that
+        instance did not sample the item.  Instance ``i`` is named
+        ``instances[i]`` and sampled at PPS rate ``tau_stars[i]``.  The
+        per-instance dicts that :meth:`outcome_for` and
+        :attr:`instance_samples` read are built only when first needed.
+        """
+        from ..engine.batch_outcome import BatchOutcome
+
+        if not instances:
+            raise ValueError("at least one instance sample is required")
+        sample = cls.__new__(cls)
+        sample._scheme = CoordinatedScheme(
+            [LinearThreshold(tau) for tau in tau_stars]
+        )
+        sample._instances = None
+        sample._names = tuple(instances)
+        sample._seeds = None
+        sample._keys = tuple(keys)
+        sample._batch = BatchOutcome(
+            seeds=seeds, values=values, scheme=sample._scheme
+        )
+        return sample
+
     @property
     def scheme(self) -> CoordinatedScheme:
         return self._scheme
 
     @property
     def instance_samples(self) -> Tuple[InstanceSample, ...]:
+        if self._instances is None:
+            keys = self._keys
+            values = self._batch.values
+            samples = []
+            for i, name in enumerate(self._names):
+                column = values[:, i]
+                rows = np.flatnonzero(~np.isnan(column))
+                samples.append(
+                    InstanceSample(
+                        instance=name,
+                        tau_star=self._scheme.thresholds[i].tau_star,
+                        entries=dict(
+                            zip(
+                                [keys[k] for k in rows.tolist()],
+                                column[rows].tolist(),
+                            )
+                        ),
+                    )
+                )
+            self._instances = tuple(samples)
         return self._instances
 
     @property
     def num_instances(self) -> int:
-        return len(self._instances)
+        return len(self._names)
 
     def seed_of(self, key: ItemKey) -> Optional[float]:
+        if self._seeds is None:
+            self._seeds = dict(zip(self._keys, self._batch.seeds.tolist()))
         return self._seeds.get(key)
 
     def sampled_items(self) -> Tuple[ItemKey, ...]:
-        """Items present in at least one instance sample."""
-        keys = set()
-        for sample in self._instances:
-            keys.update(sample.entries.keys())
-        return tuple(sorted(keys, key=repr))
+        """Items present in at least one instance sample, sorted by ``repr``."""
+        if self._keys is None:
+            keys = set()
+            for sample in self._instances:
+                keys.update(sample.entries.keys())
+            self._keys = tuple(sorted(keys, key=repr))
+        return self._keys
+
+    def batch(self):
+        """The sampled items as one :class:`~repro.engine.batch_outcome.BatchOutcome`.
+
+        Rows follow :meth:`sampled_items` and columns the instances; an
+        entry an instance did not sample is ``NaN``.  The batch is built
+        once per sample, so every estimator run over the same sample
+        shares it.  The engine is imported lazily here and in
+        :meth:`from_columns`, so that the aggregates layer has no
+        import-time dependency on it (the engine's ``BatchSumEngine``
+        consumes datasets from this package).
+        """
+        if self._batch is None:
+            from ..engine.batch_outcome import BatchOutcome
+
+            keys = self.sampled_items()
+            seeds = np.fromiter(
+                (self._seeds[key] for key in keys), dtype=float, count=len(keys)
+            )
+            values = np.empty((len(keys), self.num_instances))
+            for i, sample in enumerate(self._instances):
+                entries = sample.entries
+                values[:, i] = np.fromiter(
+                    (entries.get(key, np.nan) for key in keys),
+                    dtype=float,
+                    count=len(keys),
+                )
+            self._batch = BatchOutcome(
+                seeds=seeds, values=values, scheme=self._scheme
+            )
+        return self._batch
 
     def storage_size(self) -> int:
         """Total number of (item, instance) entries retained — the
         footprint a deployment would actually pay for."""
-        return sum(len(s) for s in self._instances)
+        return sum(len(s) for s in self.instance_samples)
 
     def outcome_for(self, key: ItemKey, instances: Optional[Sequence[int]] = None) -> Outcome:
         """Reassemble the per-item monotone-sampling outcome for ``key``.
@@ -131,7 +236,7 @@ class CoordinatedSample:
         make up the tuple, matching the target function's arity; by
         default all instances are used.
         """
-        seed = self._seeds.get(key)
+        seed = self.seed_of(key)
         if seed is None:
             raise KeyError(
                 f"item {key!r} has no recorded seed; it was not sampled anywhere"
@@ -139,7 +244,8 @@ class CoordinatedSample:
         idx = tuple(instances) if instances is not None else tuple(
             range(self.num_instances)
         )
-        values = tuple(self._instances[i].entries.get(key) for i in idx)
+        samples = self.instance_samples
+        values = tuple(samples[i].entries.get(key) for i in idx)
         scheme = self._scheme if instances is None else CoordinatedScheme(
             [self._scheme.thresholds[i] for i in idx]
         )

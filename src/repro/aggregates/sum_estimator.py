@@ -18,8 +18,11 @@ only, which is what makes the whole pipeline sublinear in the data.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from ..api.backend import BackendPolicy, BackendSpec
 from ..core.functions import EstimationTarget, ExponentiatedRange, OneSidedRange
@@ -29,6 +32,7 @@ from .coordinated import CoordinatedSample
 from .dataset import ItemKey
 
 __all__ = [
+    "ItemBreakdown",
     "ItemEstimate",
     "SumEstimate",
     "SumAggregateEstimator",
@@ -47,18 +51,76 @@ class ItemEstimate:
     estimate: float
 
 
+class ItemBreakdown(Sequence):
+    """The per-item contributions of a sum estimate, as a lazy sequence.
+
+    Holds the estimated keys with their seeds and per-item estimates as
+    arrays.  ``len()`` reads the key count; the :class:`ItemEstimate`
+    objects are built on the first indexed or iterated read, once.
+    """
+
+    __slots__ = ("keys", "seeds", "estimates", "_items")
+
+    def __init__(
+        self, keys: Sequence[ItemKey], seeds: np.ndarray, estimates: np.ndarray
+    ) -> None:
+        self.keys = keys
+        self.seeds = seeds
+        self.estimates = estimates
+        self._items: Optional[Tuple[ItemEstimate, ...]] = None
+
+    def _materialise(self) -> Tuple[ItemEstimate, ...]:
+        if self._items is None:
+            self._items = tuple(
+                map(
+                    ItemEstimate,
+                    self.keys,
+                    self.seeds.tolist(),
+                    self.estimates.tolist(),
+                )
+            )
+        return self._items
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, index):
+        return self._materialise()[index]
+
+    def __iter__(self) -> Iterator[ItemEstimate]:
+        return iter(self._materialise())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ItemBreakdown):
+            other = other._materialise()
+        if not isinstance(other, tuple):
+            return NotImplemented
+        return self._materialise() == other
+
+    def __hash__(self) -> int:
+        return hash(self._materialise())
+
+    def __repr__(self) -> str:
+        return f"ItemBreakdown({list(self)!r})"
+
+
 @dataclass(frozen=True)
 class SumEstimate:
-    """A sum-aggregate estimate with its per-item breakdown."""
+    """A sum-aggregate estimate with its per-item breakdown.
+
+    ``items`` is an :class:`ItemBreakdown`: a sequence of
+    :class:`ItemEstimate` built only when an item is read, so ``len()``
+    and :attr:`contributing_items` stay array operations.
+    """
 
     value: float
-    items: Tuple[ItemEstimate, ...]
+    items: ItemBreakdown
     estimator: str
 
     @property
     def contributing_items(self) -> int:
         """Number of items with a nonzero contribution."""
-        return sum(1 for item in self.items if item.estimate != 0.0)
+        return int(np.count_nonzero(self.items.estimates))
 
 
 class SumAggregateEstimator:
@@ -128,15 +190,15 @@ class SumAggregateEstimator:
         the selection that were sampled nowhere contribute 0 and are not
         enumerated; items outside the selection are skipped.
         """
-        selected = set(selection) if selection is not None else None
-        keys = [
-            key
-            for key in sample.sampled_items()
-            if selected is None or key in selected
-        ]
+        keys = sample.sampled_items()
+        rows = None
+        if selection is not None:
+            selected = set(selection)
+            rows = [k for k, key in enumerate(keys) if key in selected]
+            keys = tuple(keys[k] for k in rows)
         resolved = self._policy.resolve(len(keys))
         if resolved != "scalar":
-            batched = self._estimate_batched(sample, keys)
+            batched = self._estimate_batched(sample, keys, rows)
             if batched is not None:
                 return batched
             if resolved == "vectorized":
@@ -144,68 +206,65 @@ class SumAggregateEstimator:
                     "no vectorized kernel covers this estimator/scheme pair; "
                     "use backend='scalar' or backend='auto'"
                 )
-        contributions: List[ItemEstimate] = []
+        seeds: List[float] = []
+        estimates: List[float] = []
         total = 0.0
         for key in keys:
             outcome = sample.outcome_for(key, instances=self._instances)
             value = self._estimator.estimate(outcome)
             total += value
-            contributions.append(
-                ItemEstimate(key=key, seed=outcome.seed, estimate=value)
-            )
+            seeds.append(outcome.seed)
+            estimates.append(value)
         return SumEstimate(
             value=total,
-            items=tuple(contributions),
+            items=ItemBreakdown(
+                keys,
+                np.asarray(seeds, dtype=float),
+                np.asarray(estimates, dtype=float),
+            ),
             estimator=self._estimator.name,
         )
 
     def _estimate_batched(
-        self, sample: CoordinatedSample, keys: Sequence[ItemKey]
+        self,
+        sample: CoordinatedSample,
+        keys: Sequence[ItemKey],
+        rows: Optional[Sequence[int]],
     ) -> Optional[SumEstimate]:
         """Kernel-based estimation of the retained items, or ``None``.
 
-        Imported lazily so that the aggregates layer has no import-time
-        dependency on the engine (the engine's driver consumes datasets
-        from this package).
+        The kernel runs on the sample's shared :meth:`CoordinatedSample.batch`,
+        narrowed to the selected ``rows`` and to this estimator's
+        instances when either is given.  Imported lazily so that the
+        aggregates layer has no import-time dependency on the engine (the
+        engine's ``BatchSumEngine`` consumes datasets from this package).
         """
-        import numpy as np
-
         from ..core.schemes import CoordinatedScheme
         from ..engine.batch_outcome import BatchOutcome
         from ..engine.kernels import resolve_kernel
 
-        idx = (
-            self._instances
-            if self._instances is not None
-            else tuple(range(sample.num_instances))
-        )
+        idx = self._instances
         scheme = (
             sample.scheme
-            if self._instances is None
+            if idx is None
             else CoordinatedScheme([sample.scheme.thresholds[i] for i in idx])
         )
         kernel = resolve_kernel(self._estimator, scheme)
         if kernel is None:
             return None
-        n = len(keys)
-        seeds = np.empty(n)
-        values = np.full((n, len(idx)), np.nan)
-        instance_samples = sample.instance_samples
-        for k, key in enumerate(keys):
-            seeds[k] = sample.seed_of(key)
-            for column, i in enumerate(idx):
-                weight = instance_samples[i].entries.get(key)
-                if weight is not None:
-                    values[k, column] = weight
-        batch = BatchOutcome(seeds=seeds, values=values, scheme=scheme)
+        batch = sample.batch()
+        if rows is not None or idx is not None:
+            seeds, values = batch.seeds, batch.values
+            if rows is not None:
+                rows = np.asarray(rows, dtype=np.intp)
+                seeds, values = seeds[rows], values[rows]
+            if idx is not None:
+                values = values[:, idx]
+            batch = BatchOutcome(seeds=seeds, values=values, scheme=scheme)
         estimates = kernel.estimate_batch(batch)
-        contributions = tuple(
-            ItemEstimate(key=key, seed=float(seeds[k]), estimate=float(estimates[k]))
-            for k, key in enumerate(keys)
-        )
         return SumEstimate(
             value=float(estimates.sum()),
-            items=contributions,
+            items=ItemBreakdown(keys, batch.seeds, estimates),
             estimator=self._estimator.name,
         )
 

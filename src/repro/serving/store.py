@@ -40,9 +40,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Union,
+)
 
-from ..aggregates.coordinated import CoordinatedSample, InstanceSample
+from ..aggregates.coordinated import CoordinatedSample
 from ..api.backend import BackendPolicy, BackendSpec
 from ..api.registry import Registry
 from ..core.seeds import SeedAssigner
@@ -65,6 +75,20 @@ __all__ = [
 #: ``distinct`` are built in, and plugins extend it the same way the
 #: estimation registries are extended.
 SERVING_QUERY_KINDS = Registry("serving query")
+
+#: The derived reductions a group caches next to its sketch views:
+#: full-ledger arrays computed from the ``pps`` and ``ads`` views, with
+#: no incremental form, so they are dropped whenever a view is replaced.
+_DERIVED_CACHES = ("sum_weights", "ads_columns", "pps_columns")
+
+
+class _PPSColumns(NamedTuple):
+    """One group's PPS view as arrays, sorted by the ``repr`` of the keys."""
+
+    keys: Any
+    weights: Any
+    seeds: Any
+    tau_star: float
 
 
 @dataclass(frozen=True)
@@ -124,6 +148,14 @@ class GroupState:
     evict by).  Sketches are derived views, rebuilt on demand after any
     mutation — except append-only batches, which the store patches into
     the cached views incrementally (see ``SketchStore.ingest``).
+
+    The cache also holds the derived reductions of the views (named in
+    ``_DERIVED_CACHES``): ``sum_weights``, the PPS weights in sorted-key
+    order that ``sum`` reduces; ``ads_columns``, the ADS
+    ``(distance, threshold)`` columns that ``distinct`` masks; and
+    ``pps_columns``, the PPS keys, weights and seeds in ``repr`` order
+    that ``similarity`` merges.  They are dropped with the views, and on
+    their own whenever a view is patched or replaced.
     """
 
     def __init__(self) -> None:
@@ -305,8 +337,8 @@ class SketchStore:
         sketch built over just the new keys merged into the cached view
         equals a full rebuild — the sketch-level merges are exact for
         disjoint populations sharing the seed assignment — while only
-        paying for the new keys.  The derived reduction arrays (sorted
-        weights, ADS columns) are dropped and rebuilt lazily; they are
+        paying for the new keys.  The derived reductions
+        (``_DERIVED_CACHES``) are dropped and rebuilt lazily; they are
         full-ledger concatenations with no incremental form.
         """
         cache = state._cache
@@ -339,8 +371,8 @@ class SketchStore:
                     ranks=self._seeds.seeds_for(new_first),
                 )
             )
-        cache.pop("sum_weights", None)
-        cache.pop("ads_columns", None)
+        for name in _DERIVED_CACHES:
+            cache.pop(name, None)
 
     # ------------------------------------------------------------------
     # Sketch views
@@ -404,20 +436,71 @@ class SketchStore:
         their per-group samples are instances of one coordinated scheme —
         ready for the estimators in :mod:`repro.aggregates` (similarity,
         L_p differences, any registered target).
+
+        The sample is assembled from each group's cached PPS columns
+        (:meth:`_pps_columns`), not from the view dicts.  The groups' keys
+        are merged on their ``repr`` strings, so the union comes out in
+        the sorted-by-``repr`` order of
+        :meth:`~repro.aggregates.coordinated.CoordinatedSample.sampled_items`.
+        Each group's column is already in that order, so a stable sort
+        of their concatenation only merges sorted runs.  The strings are
+        made per query rather than cached: Python strings cost more than
+        the rest of the columns together.  Seeds and weights are
+        scattered into one ``(n, len(groups))`` batch; the per-group
+        dicts are rebuilt only if a scalar estimator reads them.
         """
-        samples = []
-        seeds: Dict[str, float] = {}
-        for group in groups:
-            pps = self.sketch(group, "pps")
-            samples.append(
-                InstanceSample(
-                    instance=group,
-                    tau_star=pps.tau_star,
-                    entries=dict(pps.entries),
-                )
+        import numpy as np
+
+        columns = [self._pps_columns(group) for group in groups]
+        if not columns:
+            raise ValueError("at least one group is required")
+        merged = np.concatenate([column.keys for column in columns])
+        reprs = np.fromiter(map(repr, merged), dtype=object, count=len(merged))
+        order = np.argsort(reprs, kind="stable")
+        ordered = reprs[order]
+        first = np.ones(len(reprs), dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        rows = np.empty(len(reprs), dtype=np.intp)
+        rows[order] = np.cumsum(first) - 1
+        n = int(np.count_nonzero(first))
+        keys = np.empty(n, dtype=object)
+        keys[rows] = merged
+        seeds = np.empty(n)
+        seeds[rows] = np.concatenate([column.seeds for column in columns])
+        values = np.full((n, len(columns)), np.nan)
+        start = 0
+        for i, column in enumerate(columns):
+            stop = start + len(column.keys)
+            values[rows[start:stop], i] = column.weights
+            start = stop
+        return CoordinatedSample.from_columns(
+            instances=list(groups),
+            tau_stars=[column.tau_star for column in columns],
+            keys=keys.tolist(),
+            seeds=seeds,
+            values=values,
+        )
+
+    def _pps_columns(self, group: str) -> _PPSColumns:
+        """The group's cached PPS columns, sorted by the keys' ``repr``."""
+        import numpy as np
+
+        pps = self.sketch(group, "pps")
+
+        def columns():
+            keys = sorted(pps.entries, key=repr)
+            return _PPSColumns(
+                keys=np.fromiter(keys, dtype=object, count=len(keys)),
+                weights=np.fromiter(
+                    (pps.entries[key] for key in keys), dtype=float, count=len(keys)
+                ),
+                seeds=np.fromiter(
+                    (pps.seeds[key] for key in keys), dtype=float, count=len(keys)
+                ),
+                tau_star=pps.tau_star,
             )
-            seeds.update(pps.seeds)
-        return CoordinatedSample.from_instance_samples(samples, seeds)
+
+        return self.group_state(group).cached("pps_columns", columns)
 
     # ------------------------------------------------------------------
     # Queries
@@ -738,8 +821,10 @@ def merge_sketch_views(
 
     ``into`` extends an earlier result in place and returns it: the
     views must describe the same cut and carry only ``(group, kind)``
-    pairs it does not hold yet; its other views and their derived
-    reductions are kept.  The shard router keeps its fused store
+    pairs it does not hold yet.  Its other groups keep their views and
+    derived reductions; a group a view is written into drops its
+    derived reductions (``_DERIVED_CACHES``), which may describe the
+    view being replaced.  The shard router keeps its fused store
     between queries this way.
 
     Raises
@@ -783,6 +868,8 @@ def merge_sketch_views(
                     },
                 )
             state._cache[kind] = sketch
+        for name in _DERIVED_CACHES:
+            state._cache.pop(name, None)
     return store
 
 
@@ -858,6 +945,12 @@ def _query_similarity(store, groups, keys, until, backend):
     the estimate is ``est(sum_k min(w_a, w_b)) / est(sum_k max(w_a, w_b))``
     with the L* estimator per item — the weighted-Jaccard analogue of the
     paper's closeness similarity, clamped to ``[0, 1]``.
+
+    :meth:`SketchStore.coordinated_sample` merges the groups' cached PPS
+    columns into one batch, and both estimators run their kernels on
+    that same batch.  The backend policy resolves on the size of the
+    key union: ``scalar``, or ``auto`` below its threshold, estimates
+    item by item instead.  No per-item breakdown is built.
     """
     from ..aggregates.sum_estimator import SumAggregateEstimator
     from ..core.functions import MaxPower, MinPower

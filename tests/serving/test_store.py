@@ -8,9 +8,11 @@ from repro.serving import (
     Event,
     SketchStore,
     StoreConfig,
+    merge_sketch_views,
     merge_stores,
     read_events,
     shard_events,
+    sketch_view_payload,
     synthetic_feed,
     write_events,
 )
@@ -184,6 +186,25 @@ class TestMerge:
         merge_stores(a, b)
         assert a.group_state("g").totals == {"x": 1.0}
         assert b.group_state("g").totals == {"x": 2.0}
+
+    def test_merging_a_view_into_a_group_drops_its_derived_reductions(self):
+        config = StoreConfig(k=16, tau_star=0.5, salt="fuse")
+        old = _store(synthetic_feed(400, num_keys=60, groups=("u", "v"), seed=3), config)
+        new = _store(synthetic_feed(400, num_keys=60, groups=("u", "v"), seed=4), config)
+        fused = merge_sketch_views(config, [sketch_view_payload(old, kinds=("pps",))])
+        # Prime the derived reductions of both groups, then replace u's view.
+        fused.query("sum")
+        fused.query("similarity", groups=["u", "v"])
+        replacement = sketch_view_payload(new, groups=["u"], kinds=("pps",))
+        merge_sketch_views(config, [replacement], into=fused)
+        fresh = merge_sketch_views(
+            config,
+            [replacement, sketch_view_payload(old, groups=["v"], kinds=("pps",))],
+        )
+        assert fused.query("sum") == fresh.query("sum")
+        assert fused.query("similarity", groups=["u", "v"]) == fresh.query(
+            "similarity", groups=["u", "v"]
+        )
 
 
 class TestCoordinatedSampleBridge:
