@@ -1,11 +1,13 @@
-"""Machine-readable benchmark harness: the ``BENCH_<n>.json`` trajectory.
+"""Engine speedup gate: each engine path timed against forced scalar.
 
-The ad-hoc ``bench_*.py`` scripts print human reports through
-pytest-benchmark; nothing in the repository recorded *numbers a later
-change could be compared against*.  This harness runs a fixed suite of
-named benches — each timing one hot path of the library, most with a
-forced-scalar baseline of the same computation — with warmup and repeat
-control, and writes a schema-validated JSON payload::
+End-to-end numbers (serving latency, setup, memory, the full paper
+reproduction) come from ``perfbench/run.py`` and its workloads in
+``BENCHMARK.json``.  This harness answers the one question perfbench
+does not: does each vectorized engine path still beat the scalar
+reference on the same call?  It runs a fixed suite of named benches —
+each timing one hot path of the library, then the same computation
+under a forced-scalar policy — with warmup and repeat control, and
+writes a schema-validated JSON payload::
 
     python benchmarks/run_bench.py                  # full suite -> BENCH_<n>.json
     python benchmarks/run_bench.py --smoke          # CI-sized suite
@@ -19,17 +21,16 @@ Every payload records the git SHA, python/numpy versions, the effective
 :class:`~repro.api.backend.BackendPolicy`, and per bench the median/min
 wall seconds, items per second, the backend decision the policy took at
 that size, and the measured speedup over the scalar baseline.  The
-``BENCH_<n>.json`` files checked in at the repository root (one per PR
-that touched performance) form the trajectory; ``--check`` validates a
-payload's structure, and ``--compare OLD NEW`` diffs two payloads'
-*speedup ratios* — dimensionless, so roughly comparable across machines
-— and exits nonzero when any shared bench's speedup collapsed below
-``1 - band`` of its old value.  CI runs both on every push: the fresh
+``BENCH_<n>.json`` files checked in at the repository root form the
+speedup trajectory; ``--check`` validates a payload's structure, and
+``--compare OLD NEW`` diffs two payloads' *speedup ratios* —
+dimensionless, so roughly comparable across machines — and exits
+nonzero when any shared bench's speedup collapsed below ``1 - band`` of
+its old value.  CI runs both on every push: the fresh
 ``--smoke`` payload is checked for schema rot and compared against the
-committed smoke baseline (``benchmarks/baseline_smoke.json``), so a
-silent performance regression — an engine path quietly falling back to
-scalar, coalescing quietly degrading to per-request dispatch — fails
-the build while ordinary wall-clock noise does not.
+committed smoke baseline (``benchmarks/baseline_smoke.json``), so an
+engine path quietly falling back to scalar fails the build while
+ordinary wall-clock noise does not.
 
 The ``--threshold-sweep`` mode measures the scalar/vectorized crossover
 of per-item estimation as a function of input size — the measurement
@@ -47,32 +48,13 @@ import statistics
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-
-def _load_bench_helpers():
-    """The shared backend helpers from the sibling ``conftest.py``.
-
-    Loaded by path rather than ``import conftest``: under pytest the
-    name ``conftest`` may already be bound to a *different* conftest
-    (the test tree's), and the harness must work both as a script and
-    imported from the tests.
-    """
-    import importlib.util
-
-    path = Path(__file__).with_name("conftest.py")
-    spec = importlib.util.spec_from_file_location("bench_conftest", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-_helpers = _load_bench_helpers()
-bench_policy = _helpers.bench_policy
-forced_backend = _helpers.forced_backend
+from repro.api.backend import default_backend, set_default_backend
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -103,6 +85,16 @@ def _time(fn: Callable[[], object], warmup: int, repeats: int) -> List[float]:
     return samples
 
 
+@contextmanager
+def forced_backend(mode: str):
+    """Pin the process-wide backend policy to ``mode``, restoring it on exit."""
+    previous = set_default_backend(mode)
+    try:
+        yield
+    finally:
+        set_default_backend(previous)
+
+
 def _stats(samples: Sequence[float]) -> Dict[str, float]:
     return {
         "median": float(statistics.median(samples)),
@@ -119,14 +111,6 @@ def _stats(samples: Sequence[float]) -> Dict[str, float]:
 # size the *library* resolves the backend on for this path (e.g. the
 # moment experiments dispatch on vectors × quadrature nodes, not on the
 # reported item count) — it defaults to ``items``.
-#
-# Benches whose baseline is not "the same call forced scalar" — the
-# serving benches compare *architectures* (coalesced vs sequential
-# dispatch, multi-process vs single-pass ingestion) — are marked
-# "custom" in SUITE and return a five-tuple whose last element is
-# ``(baseline_label, baseline_fn)``; the harness times ``baseline_fn``
-# with the same warmup/repeat protocol and reports the speedup against
-# it.
 # ----------------------------------------------------------------------
 def _bench_batch_sum(smoke: bool):
     from repro.datasets.synthetic import surname_pairs
@@ -243,381 +227,16 @@ def _bench_ratios_sweep(smoke: bool):
     )
 
 
-def _bench_store_ingest(smoke: bool):
-    from repro.serving import SketchStore, StoreConfig, synthetic_feed
-
-    n = 10_000 if smoke else 60_000
-    feed = synthetic_feed(n, num_keys=n // 3, groups=("u", "v"), seed=23)
-    config = StoreConfig(k=512, tau_star=0.5, salt="bench")
-
-    def run():
-        store = SketchStore(config)
-        store.ingest(feed)
-        return store.events_ingested
-
-    return (run, n, {"num_events": n, "num_keys": n // 3, "groups": 2})
-
-
-def _bench_store_query(smoke: bool):
-    from repro.serving import SketchStore, StoreConfig, synthetic_feed
-
-    n = 8_000 if smoke else 50_000
-    store = SketchStore(StoreConfig(k=n, tau_star=0.25, salt="bench"))
-    store.ingest(synthetic_feed(n, num_keys=n // 2, groups=("u", "v"), seed=29))
-    retained = sum(
-        len(store.sketch(group, "pps").entries) for group in store.groups
-    )
-
-    def run():
-        sums = store.query("sum")
-        counts = store.query("distinct")
-        return sum(sums.values()) + sum(counts.values())
-
-    return (
-        run,
-        retained,
-        {"num_events": n, "retained_keys": retained, "kinds": ["sum", "distinct"]},
-        # Each query kind dispatches on the retained keys across groups.
-        retained,
-    )
-
-
-def _bench_store_serve(smoke: bool):
-    import asyncio
-
-    from repro.serving import SketchServer, SketchStore, StoreConfig, synthetic_feed
-    from repro.serving.cli import run_load
-
-    n = 6_000 if smoke else 24_000
-    clients = 32
-    per_client = 2 if smoke else 4
-    store = SketchStore(StoreConfig(k=n, tau_star=0.25, salt="bench-serve"))
-    store.ingest(
-        synthetic_feed(
-            n, num_keys=n // 2, groups=("u", "v", "w", "x"), seed=31
-        )
-    )
-    kinds = ("sum", "distinct", "similarity")
-
-    async def drive(mode: str, mode_clients: int):
-        async with SketchServer(store) as server:
-            host, port = server.address
-            report = await run_load(
-                host,
-                port,
-                clients=mode_clients,
-                requests_per_client=per_client,
-                mode=mode,
-                kinds=kinds,
-            )
-        if report["errors"]:
-            raise RuntimeError(f"load errors: {report['errors']}")
-        return report["requests_per_sec"]
-
-    return (
-        lambda: asyncio.run(drive("concurrent", clients)),
-        clients * per_client,
-        {
-            "num_events": n,
-            "groups": 4,
-            "clients": clients,
-            "requests_per_client": per_client,
-            "kinds": list(kinds),
-        },
-        n // 2,  # query dispatch resolves on the retained keys
-        # The identical request multiset, one request at a time over one
-        # connection: what serving costs without coalescing.
-        ("sequential", lambda: asyncio.run(drive("sequential", clients))),
-    )
-
-
-def _bench_store_ingest_parallel(smoke: bool):
-    import os
-    import shutil
-    import tempfile
-
-    from repro.serving import (
-        ParallelIngestor,
-        StoreConfig,
-        shard_events,
-        synthetic_feed,
-        write_events,
-    )
-
-    n = 12_000 if smoke else 60_000
-    # One worker per core, at most 4: more workers than cores would time
-    # the scheduler, not the fan-out.
-    workers = min(4, os.cpu_count() or 1)
-    feed = synthetic_feed(n, num_keys=n // 3, groups=("u", "v"), seed=23)
-    config = StoreConfig(k=512, tau_star=0.5, salt="bench")
-    # Pre-shard to feed files so each worker parses its own shard — the
-    # configuration where the per-event work (JSON decode + ledger fold)
-    # actually fans out, with no parent-side routing on the hot path.
-    staging = Path(tempfile.mkdtemp(prefix="bench-ingest-"))
-    paths = []
-    for index, shard in enumerate(shard_events(feed, workers)):
-        path = staging / f"shard-{index:02d}.jsonl"
-        write_events(path, shard)
-        paths.append(path)
-
-    def run_with(count: int):
-        store = ParallelIngestor(config, num_workers=count).ingest_feeds(paths)
-        if store.events_ingested != n:
-            raise RuntimeError("short ingest")
-        return store.events_ingested
-
-    import atexit
-
-    atexit.register(shutil.rmtree, staging, ignore_errors=True)
-    return (
-        lambda: run_with(workers),
-        n,
-        {
-            "num_events": n,
-            "num_keys": n // 3,
-            "workers": workers,
-            # Parallel speedup is bounded by the cores actually
-            # available; record them so a ~1x result on a 1-CPU host
-            # reads as the hardware bound it is, not a code regression.
-            "cpu_count": os.cpu_count(),
-        },
-        n,
-        ("single-worker", lambda: run_with(1)),
-    )
-
-
-def _bench_store_replication(smoke: bool):
-    import asyncio
-
-    from repro.serving import (
-        ReplicaFollower,
-        ServingClient,
-        SketchServer,
-        SketchStore,
-        StoreConfig,
-        synthetic_feed,
-    )
-
-    n = 4_000 if smoke else 20_000
-    batch = 500
-    config = StoreConfig(k=512, tau_star=0.5, salt="bench-repl")
-    feed = synthetic_feed(n, num_keys=n // 3, groups=("u", "v"), seed=37)
-    chunks = [feed[i : i + batch] for i in range(0, n, batch)]
-
-    async def drive(replicate: bool):
-        store = SketchStore(config)
-        async with SketchServer(store) as server:
-            host, port = server.address
-            client = await ServingClient.connect(host, port)
-            for chunk in chunks:
-                await client.ingest(chunk)
-            await client.close()
-            if replicate:
-                fstore = SketchStore(config)
-                follower = ReplicaFollower(fstore, host, port)
-                await follower.sync_once()
-                if fstore.events_ingested != n:
-                    raise RuntimeError("follower did not converge")
-        return store.events_ingested
-
-    return (
-        # Ingest over the wire *plus* a cold follower bootstrap and
-        # catch-up: what a replica group costs end to end.
-        lambda: asyncio.run(drive(True)),
-        n,
-        {"num_events": n, "batch": batch, "groups": 2},
-        n,
-        # The same wire ingest with no follower: replication's overhead
-        # shows up as an honest sub-1x "speedup" (informational in
-        # --compare, since it sits below --min-speedup).
-        ("primary-only", lambda: asyncio.run(drive(False))),
-    )
-
-
-def _bench_store_sync_ack(smoke: bool):
-    import asyncio
-
-    from repro.serving import (
-        ReplicaFollower,
-        ServingClient,
-        SketchServer,
-        SketchStore,
-        StoreConfig,
-        synthetic_feed,
-    )
-
-    n = 4_000 if smoke else 16_000
-    batch = 500
-    config = StoreConfig(k=512, tau_star=0.5, salt="bench-ack")
-    feed = synthetic_feed(n, num_keys=n // 3, groups=("u", "v"), seed=43)
-    chunks = [feed[i : i + batch] for i in range(0, n, batch)]
-
-    async def drive(sync_ack: bool):
-        store = SketchStore(config)
-        kwargs = {"sync_ack": 1, "ack_timeout": 10.0} if sync_ack else {}
-        async with SketchServer(store, **kwargs) as server:
-            host, port = server.address
-            fstore = SketchStore(config)
-            follower = ReplicaFollower(fstore, host, port)
-            task = asyncio.create_task(follower.run())
-            try:
-                while not server.acks.subscribers:
-                    await asyncio.sleep(0.005)
-                client = await ServingClient.connect(host, port)
-                durable = 0
-                for chunk in chunks:
-                    response = await client.ingest(chunk)
-                    if response.get("durable"):
-                        durable += 1
-                await client.close()
-                if sync_ack and durable != len(chunks):
-                    raise RuntimeError(
-                        f"only {durable}/{len(chunks)} batches confirmed durably"
-                    )
-            finally:
-                task.cancel()
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
-        if fstore.events_ingested != n:
-            raise RuntimeError("follower did not converge")
-        return store.events_ingested
-
-    return (
-        # Wire ingest where every ack waits for a live follower to
-        # confirm the covering segment offset: the price of closing the
-        # async-replication durability window.
-        lambda: asyncio.run(drive(True)),
-        n,
-        {"num_events": n, "batch": batch, "sync_ack": 1, "groups": 2},
-        n,
-        # The identical ingest with the same follower attached but
-        # asynchronous acks — isolates the quorum wait itself, so the
-        # "speedup" reads as sync-ack's overhead (expect near or below
-        # 1x; informational in --compare).
-        ("async-ack", lambda: asyncio.run(drive(False))),
-    )
-
-
-def _bench_store_router(smoke: bool):
-    import asyncio
-    import os
-
-    from repro.serving import (
-        ServingClient,
-        ShardRouter,
-        SketchServer,
-        SketchStore,
-        StoreConfig,
-        synthetic_feed,
-    )
-    from repro.serving.cli import run_load
-
-    n = 4_000 if smoke else 16_000
-    batch = 500
-    shards = 2
-    clients = 8
-    per_client = 2 if smoke else 4
-    config = StoreConfig(k=512, tau_star=0.5, salt="bench-router")
-    feed = synthetic_feed(n, num_keys=n // 3, groups=("u", "v"), seed=41)
-    chunks = [feed[i : i + batch] for i in range(0, n, batch)]
-    kinds = ("sum", "distinct", "similarity")
-
-    async def load_against(host: str, port: int):
-        client = await ServingClient.connect(host, port)
-        for chunk in chunks:
-            await client.ingest(chunk)
-        await client.close()
-        report = await run_load(
-            host,
-            port,
-            clients=clients,
-            requests_per_client=per_client,
-            kinds=kinds,
-        )
-        if report["errors"]:
-            raise RuntimeError(f"load errors: {report['errors']}")
-        return report["requests_per_sec"]
-
-    async def drive_router():
-        servers = [
-            SketchServer(SketchStore(config)) for _ in range(shards)
-        ]
-        for server in servers:
-            await server.start()
-        router = ShardRouter([[server.address] for server in servers])
-        await router.start()
-        try:
-            return await load_against(*router.address)
-        finally:
-            await router.stop()
-            for server in servers:
-                await server.stop()
-
-    async def drive_single():
-        async with SketchServer(SketchStore(config)) as server:
-            return await load_against(*server.address)
-
-    return (
-        # Wire ingest plus the mixed query load, everything through the
-        # 2-shard router: key-split ingest fan-out, and every query pays
-        # one view round trip per shard (an "unchanged" line once the
-        # per-group view cache is warm) before the fused store answers,
-        # so expect a sub-1x "speedup" on a query-heavy mix — the router
-        # buys capacity, not latency.
-        lambda: asyncio.run(drive_router()),
-        n + clients * per_client,
-        {
-            "num_events": n,
-            "batch": batch,
-            "shards": shards,
-            "clients": clients,
-            "requests_per_client": per_client,
-            "kinds": list(kinds),
-            # Scatter-gather concurrency is core-bound; a 1-CPU host
-            # serialises the shard servers on one loop anyway.
-            "cpu_count": os.cpu_count(),
-        },
-        n,
-        # The identical workload against one direct unsharded server.
-        ("single-server", lambda: asyncio.run(drive_single())),
-    )
-
-
-def _bench_runner_smoke_batch(smoke: bool):
-    from repro.api.experiments import ExperimentRunner
-
-    keys = ["E7", "E9", "E10"]
-    scale = "smoke" if smoke else "quick"
-    return (
-        lambda: ExperimentRunner(jobs=1).run_batch(keys, scale=scale),
-        len(keys),
-        {"experiments": keys, "scale": scale},
-    )
-
-
-#: name -> (builder, baseline kind).  ``True`` re-times the same call
-#: under a forced-scalar policy; ``"custom"`` times the builder-supplied
-#: architectural baseline; ``False`` skips the comparison (the runner
-#: batch measures scheduling, not estimation, so a forced-scalar rerun
-#: would be meaningless).
-SUITE: Dict[str, Tuple[Callable, object]] = {
-    "batch_sum": (_bench_batch_sum, True),
-    "simulate_grid": (_bench_simulate_grid, True),
-    "moments_dominance": (_bench_moments_dominance, True),
-    "moments_ablation": (_bench_moments_ablation, True),
-    "example4_curves": (_bench_example4_curves, True),
-    "similarity_pairs": (_bench_similarity_pairs, True),
-    "ratios_sweep": (_bench_ratios_sweep, True),
-    "store_ingest": (_bench_store_ingest, False),
-    "store_query": (_bench_store_query, True),
-    "store_serve": (_bench_store_serve, "custom"),
-    "store_ingest_parallel": (_bench_store_ingest_parallel, "custom"),
-    "store_replication": (_bench_store_replication, "custom"),
-    "store_sync_ack": (_bench_store_sync_ack, "custom"),
-    "store_router": (_bench_store_router, "custom"),
-    "runner_smoke_batch": (_bench_runner_smoke_batch, False),
+#: name -> builder.  Every bench re-times the same call under a
+#: forced-scalar policy for its baseline.
+SUITE: Dict[str, Callable] = {
+    "batch_sum": _bench_batch_sum,
+    "simulate_grid": _bench_simulate_grid,
+    "moments_dominance": _bench_moments_dominance,
+    "moments_ablation": _bench_moments_ablation,
+    "example4_curves": _bench_example4_curves,
+    "similarity_pairs": _bench_similarity_pairs,
+    "ratios_sweep": _bench_ratios_sweep,
 }
 
 
@@ -628,10 +247,10 @@ def run_suite(
     repeats: int,
 ) -> Dict[str, object]:
     """Execute the named benches and assemble the payload."""
-    policy = bench_policy()
+    policy = default_backend()
     benches = []
     for name in names:
-        builder, has_baseline = SUITE[name]
+        builder = SUITE[name]
         built = builder(smoke)
         fn, items, params = built[:3]
         dispatch_size = built[3] if len(built) > 3 else items
@@ -647,14 +266,7 @@ def run_suite(
             # ("auto" = engine whenever a kernel covers the estimator).
             "backend_decision": policy.resolve(dispatch_size),
         }
-        if has_baseline == "custom":
-            base_label, base_fn = built[4]
-            base = _time(base_fn, min(warmup, 1), repeats)
-            entry["baseline"] = {"backend": base_label, "wall_s": _stats(base)}
-            entry["speedup"] = float(
-                statistics.median(base) / statistics.median(samples)
-            )
-        elif has_baseline and policy.mode != "scalar":
+        if policy.mode != "scalar":
             with forced_backend("scalar"):
                 base_fn = builder(smoke)[0]
                 base = _time(base_fn, min(warmup, 1), repeats)
@@ -773,12 +385,6 @@ def compare_payloads(
     informational lines for everything else, including benches whose old
     speedup is under ``min_speedup`` (too close to 1x for the ratio to
     mean anything).
-
-    Benches that record a ``cpu_count`` param (the parallel-ingest
-    bench) are only compared when both payloads saw the same count: a
-    multi-process speedup measured on 8 cores says nothing about the
-    same code on 1 core, so a mismatch is warned about and the bench is
-    skipped rather than failed.
     """
     if not 0 <= band < 1:
         raise ValueError("band must be in [0, 1)")
@@ -808,15 +414,6 @@ def compare_payloads(
                 )
             else:
                 notes.append(f"note: {name} missing from the new payload")
-            continue
-        old_cpu = (old_bench.get("params") or {}).get("cpu_count")
-        new_cpu = (new_bench.get("params") or {}).get("cpu_count")
-        if (old_cpu is not None or new_cpu is not None) and old_cpu != new_cpu:
-            notes.append(
-                f"warning: {name}: recorded cpu_count differs "
-                f"({old_cpu} -> {new_cpu}); hardware-bound speedups are "
-                "not comparable, skipping this bench"
-            )
             continue
         new_speedup = new_bench.get("speedup")
         if old_speedup is None and new_speedup is None:

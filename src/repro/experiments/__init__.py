@@ -36,8 +36,8 @@ The command line is ``python -m repro.experiments.run_all`` with flags
 * ``--format text|json`` — rendered report or structured records.
 
 Each module still exposes ``run(...)`` returning structured results and
-``format_report(...)`` rendering them as text; the benchmarks under
-``benchmarks/`` call the same entry points.
+``format_report(...)`` rendering them as text; the engine speedup gate
+``benchmarks/run_bench.py`` and the tests call the same entry points.
 """
 
 from . import (

@@ -107,6 +107,11 @@ class TestRatiosParity:
                 )
                 # The hull denominator is policy-independent.
                 assert rb.minimal_expected_square == ra.minimal_expected_square
+        # U* has no small universal guarantee; L* stays within 4.
+        lstar = next(r for r in engine if r.estimator.startswith("L*"))
+        ustar = next(r for r in engine if r.estimator.startswith("U*"))
+        assert ustar.supremum > lstar.supremum
+        assert lstar.supremum <= 4.0
 
     def test_golden_constants_unchanged(self):
         results = ratios.run(

@@ -102,6 +102,8 @@ class TestTheorem41:
             assert point.measured == pytest.approx(point.theoretical, rel=1e-4)
             assert point.measured <= 4.0
         assert points[-1].measured > points[0].measured
+        # The tight family approaches the bound 4: 3.6364 at p = 0.45.
+        assert points[-1].measured > 3.5
 
     def test_report_renders(self):
         assert "Theorem 4.1" in theorem41.format_report(theorem41.run((0.25,)))

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.api.backend import BackendPolicy
 from repro.serving import (
     Event,
     SketchStore,
@@ -159,6 +160,30 @@ class TestQueries:
             "similarity", groups=["u", "v"], backend="vectorized"
         )
         assert sim_s == pytest.approx(sim_v, rel=1e-9)
+
+    def test_auto_queries_above_the_threshold_run_the_engine_kernel(
+        self, monkeypatch
+    ):
+        # Past the ``auto`` threshold, sum and distinct must reduce in
+        # the NumPy kernel, not the scalar per-entry fold: an engine path
+        # quietly falling back to scalar answers the same, only slower.
+        feed = synthetic_feed(600, num_keys=300, groups=("u", "v"), seed=29)
+        store = _store(feed, StoreConfig(k=600, tau_star=0.25, salt="auto"))
+        threshold = BackendPolicy("auto").auto_threshold
+        resolve_exact = BackendPolicy.resolve_exact
+        decisions = []
+
+        def spy(policy, size=None):
+            decision = resolve_exact(policy, size)
+            decisions.append(decision)
+            return decision
+
+        monkeypatch.setattr(BackendPolicy, "resolve_exact", spy)
+        for kind in ("sum", "distinct"):
+            assert store.dispatch_size(kind) >= threshold
+            decisions.clear()
+            store.query(kind, backend="auto")
+            assert decisions == ["vectorized"], kind
 
 
 class TestMerge:
