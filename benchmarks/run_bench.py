@@ -183,17 +183,6 @@ def _bench_moments_ablation(smoke: bool):
     )
 
 
-def _bench_example4_curves(smoke: bool):
-    from repro.experiments import example4
-
-    grid = 30 if smoke else 120
-    return (
-        lambda: example4.run(grid=grid),
-        grid * 6,  # six (p, vector) configurations
-        {"grid": grid, "configurations": 6},
-    )
-
-
 def _bench_similarity_pairs(smoke: bool):
     from repro.experiments import similarity
 
@@ -234,7 +223,6 @@ SUITE: Dict[str, Callable] = {
     "simulate_grid": _bench_simulate_grid,
     "moments_dominance": _bench_moments_dominance,
     "moments_ablation": _bench_moments_ablation,
-    "example4_curves": _bench_example4_curves,
     "similarity_pairs": _bench_similarity_pairs,
     "ratios_sweep": _bench_ratios_sweep,
 }

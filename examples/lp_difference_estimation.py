@@ -16,22 +16,30 @@ workloads with opposite similarity structure:
 Run with:  python examples/lp_difference_estimation.py
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.api import EstimationSession
+from repro.api.experiments import ExperimentRunner, ReplicationPlan, resolve_spec
 from repro.datasets import ip_flow_pairs, surname_pairs
-from repro.experiments import lp_difference
+from repro.experiments.report import render_result
 
 
 def main() -> None:
-    results = lp_difference.run(
-        num_items=300,
-        sampling_rates=(0.05, 0.1, 0.2),
-        exponents=(1.0, 2.0),
-        replications=30,
-        seed=42,
+    # The registered E9 spec with this script's own parameters.
+    spec = replace(
+        resolve_spec("E9"),
+        params={
+            "dataset_seed": 42,
+            "num_items": 300,
+            "sampling_rates": [0.05, 0.1, 0.2],
+            "exponents": [1.0, 2.0],
+        },
+        scales={},
+        replication=ReplicationPlan(seed=42, replications=30),
     )
-    print(lp_difference.format_report(results))
+    print(render_result(ExperimentRunner().run(spec)))
 
     print("\nReading the table:")
     print(" * on the ip-flows workload the U* rows have the lower RMSE;")

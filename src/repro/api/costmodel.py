@@ -9,8 +9,8 @@ magnitude, so ``--jobs N`` balanced unit counts, not seconds.
 the runner executes is timed; the first completed run of a given
 ``(experiment key, spec digest)`` records its measured
 *seconds per unit* — weights are measured once and keyed by the same
-content digest the cache uses, so a parameter or code change that would
-invalidate cached records also retires its cost weight.  Later batches
+content digest the record store uses, so a parameter or code change that
+would invalidate stored records also retires its cost weight.  Later batches
 use the stored weight to
 
 * size shards by a target *duration* instead of a fixed per-job split
@@ -24,8 +24,8 @@ are a pure function of the unit index (see the determinism contract in
 :mod:`repro.api.experiments`), so runs are bit-identical with the model
 on, off, stale, or wrong — the scheduler tests assert exactly that.
 
-Persistence is a single JSON file (default name ``costmodel.json``,
-conventionally alongside the result cache; the ``REPRO_COST_MODEL``
+Persistence is a single JSON file (default name ``costmodel.json``, in
+the records directory for ``cost_model=True``; the ``REPRO_COST_MODEL``
 environment variable or ``run_all --cost-model`` names it explicitly).
 A missing or corrupt file simply means an empty model: the next batch
 re-measures.
@@ -47,8 +47,8 @@ ENV_COST_MODEL = "REPRO_COST_MODEL"
 #: Bump to discard every stored weight on a schema change.
 MODEL_VERSION = 1
 
-#: Default file name when the runner derives the path from a cache or
-#: records directory.
+#: Default file name when the runner derives the path from its records
+#: directory.
 DEFAULT_FILENAME = "costmodel.json"
 
 
@@ -136,7 +136,7 @@ class CostModel:
         """Record a measured run: ``units`` executed in ``seconds``.
 
         Weights are measured *once* per digest: an existing exact entry
-        is kept (re-runs of a cached digest are typically partial or
+        is kept (re-runs of a stored digest are typically partial or
         contended, so the first complete measurement is the cleanest).
         Returns whether the observation was stored.
         """

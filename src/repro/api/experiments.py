@@ -17,9 +17,9 @@ module turns each experiment into *data* and its execution into
   largest-work-first, and drained by a single ``ProcessPoolExecutor`` so
   ``--jobs N`` saturates ``N`` workers across experiment boundaries
   instead of draining one experiment at a time.  Completed shard records
-  stream to an append-only :class:`~repro.api.records.RecordStore` and
-  completed runs are memoized in an on-disk cache keyed by a content
-  hash of the spec;
+  stream to an append-only :class:`~repro.api.records.RecordStore`, which
+  doubles as the memo of completed runs (keyed by a content hash of the
+  spec);
 * :class:`ExperimentResult` — structured records plus metadata; rendering
   lives in :mod:`repro.experiments.report`, not here.
 
@@ -44,34 +44,31 @@ Replicated experiments draw their randomness from
 sequence *per unit*, independent of how units are grouped into shards —
 and sweep grids are pure functions of the parameters.  Shard outputs are
 merged in unit order no matter when each shard finished, so the records
-are bit-identical for any ``--jobs`` value, for a cache replay, and for
-a resumed run.
+are bit-identical for any ``--jobs`` value, for a replay from the record
+store, and for a continued interrupted run.
 
-Record streaming and resume
----------------------------
+The record store is the memo
+----------------------------
 With a records directory configured, every run streams its per-unit
 records to ``<records_dir>/<key>-<digest>.jsonl`` as shards complete and
 finalizes the file atomically (see :mod:`repro.api.records` for the line
-protocol).  An interrupted or failed run leaves a ``.jsonl.partial``
-file; ``resume=True`` (CLI ``--resume``) re-opens it, keeps the recorded
-shard layout, skips every shard whose records were sealed, and re-runs
-only the rest — reproducing the exact records of an uninterrupted run.
+protocol).  ``digest`` is the SHA-256 of the canonical JSON of the run's
+identity: the digest format version, the spec's key and
+task/finalize/points hooks (including their *source text*, so editing a
+task invalidates its files), the fully merged parameters, the work plan,
+the estimation plan, the scale name and the *effective* backend policy
+(mode and auto-threshold, whether it came from the runner's ``backend=``
+argument, ``set_default_backend`` or the environment).
 
-Caching
--------
-A run is cached under ``<cache_dir>/<key>-<digest>.json`` where
-``digest`` is the SHA-256 of the canonical JSON of the run's identity:
-the cache format version, the spec's key and task/finalize/points hooks
-(including their *source text*, so editing a task invalidates its
-entries), the fully merged parameters, the work plan, the estimation
-plan, the scale name and the *effective* backend policy (mode and
-auto-threshold, whether it came from the runner's ``backend=`` argument,
-``set_default_backend`` or the environment).  When a record store is
-active, the cache entry is a *pointer* into the store (the records are
-not duplicated); deleting the store file simply turns the next lookup
-into a miss.  Changes in library code the hooks call are *not* hashed —
-bump ``CACHE_VERSION`` (or delete the directory) after such changes.  No
-``cache_dir`` means no caching.
+A later run with the same digest replays the finalized file instead of
+computing; a run whose digest changed writes a new file, and a deleted
+file is simply a miss.  An interrupted or failed run leaves a
+``.jsonl.partial`` file; the next run of the same digest continues it:
+it keeps the recorded shard layout, skips every sealed shard, and
+re-runs only the rest — reproducing the exact records of an
+uninterrupted run.  Changes in library code the hooks call are *not*
+hashed — bump ``DIGEST_VERSION`` (or delete the directory) after such
+changes.  No records directory means nothing is stored or replayed.
 """
 
 from __future__ import annotations
@@ -122,12 +119,9 @@ __all__ = [
 #: Recognised parameter scales, smallest first.
 SCALES = ("smoke", "quick", "full")
 
-#: Bumping this invalidates every existing cache entry (schema changes).
-#: Version 2: work-plan hierarchy (sweep plans) + record-store pointers.
-CACHE_VERSION = 2
-
-#: Environment variable supplying a default cache directory.
-ENV_CACHE_DIR = "REPRO_EXPERIMENT_CACHE"
+#: Bumping this invalidates every stored run (schema changes).
+#: Version 2: work-plan hierarchy (sweep plans).
+DIGEST_VERSION = 2
 
 
 class WorkPlan:
@@ -190,7 +184,7 @@ class SweepPlan(WorkPlan):
     ``points`` names a hook ``"module.path:function"`` with signature
     ``points(params) -> Sequence[point]`` enumerating the grid as a pure
     function of the merged parameters (no hidden state — the scheduler
-    and every resumed run must re-derive the identical list).  The spec's
+    and every continued run must re-derive the identical list).  The spec's
     task runs per shard as ``task(params, points, start) -> records``
     where ``points`` is the shard's slice ``grid[lo:hi]`` and ``start``
     is ``lo``.
@@ -359,7 +353,7 @@ class ExperimentResult:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ExperimentResult":
-        """Rebuild a result from :meth:`to_dict` output (cache / store)."""
+        """Rebuild a result from :meth:`to_dict` output (record store)."""
         return cls(
             key=payload["key"],
             title=payload["title"],
@@ -422,7 +416,7 @@ class BatchResult:
         ``(label, exception)`` pairs for every failed entry.
     schedule:
         The global largest-work-first shard order the batch executed
-        (cache/store hits contribute no units).
+        (record-store replays contribute no units).
     """
 
     results: Tuple[Optional[ExperimentResult], ...]
@@ -471,12 +465,12 @@ def _canonical(value: Any) -> Any:
 
 
 def _hook_source(path: Optional[str]) -> Optional[str]:
-    """Source text of a task hook, for the cache digest.
+    """Source text of a task hook, for the run digest.
 
     Hashing the hook's source (not just its dotted path) means editing a
-    task function invalidates its cached results automatically.  Changes
-    in code the hook *calls* are not captured — that is what the manual
-    ``CACHE_VERSION`` bump (or deleting the cache directory) is for.
+    task function invalidates its stored runs automatically.  Changes in
+    code the hook *calls* are not captured — that is what the manual
+    ``DIGEST_VERSION`` bump (or deleting the records directory) is for.
     """
     if path is None:
         return None
@@ -494,12 +488,12 @@ def spec_digest(
     scale: str,
     backend: Optional[str] = None,
 ) -> str:
-    """Content hash identifying a run for the cache and the record store.
+    """Content hash identifying a run in the record store.
 
     Covers everything in the spec that can change the records — the
     task/finalize/points hooks (by source text), the merged parameters,
     the work plan, the estimation plan, the scale and the backend mode —
-    plus the cache format version; see the module docstring for the
+    plus the digest format version; see the module docstring for the
     invalidation rule.
 
     Returns
@@ -508,7 +502,7 @@ def spec_digest(
         A 16-hex-digit digest.
     """
     payload = {
-        "version": CACHE_VERSION,
+        "version": DIGEST_VERSION,
         "key": spec.key,
         "task": spec.task,
         "task_source": _hook_source(spec.task),
@@ -616,87 +610,6 @@ def _run_job(
     return records, meta, time.perf_counter() - started
 
 
-class ResultCache:
-    """On-disk JSON memo of completed :class:`ExperimentResult` runs.
-
-    An entry either embeds the whole result (no record store configured)
-    or is a *pointer* to the finalized record-store file holding it — in
-    which case loading follows the pointer and a deleted store file turns
-    the entry into a miss.
-    """
-
-    def __init__(self, root: Union[str, os.PathLike]) -> None:
-        self._root = Path(root)
-
-    @property
-    def root(self) -> Path:
-        """The cache directory."""
-        return self._root
-
-    def path_for(self, key: str, digest: str) -> Path:
-        """The cache entry path for ``(key, digest)``."""
-        return self._root / f"{key}-{digest}.json"
-
-    def load(self, key: str, digest: str) -> Optional[ExperimentResult]:
-        """Load a cached result, following store pointers.
-
-        Returns
-        -------
-        ExperimentResult or None
-            ``None`` on any miss: no entry, digest mismatch, or a pointer
-            whose store file is gone or was never finalized.
-        """
-        path = self.path_for(key, digest)
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        if payload.get("digest") != digest:
-            return None
-        pointer = payload.get("store")
-        if pointer is not None:
-            from .records import read_run
-
-            run = read_run(pointer)
-            if run is None or not run.is_complete or run.digest != digest:
-                return None
-            return run.to_experiment_result()
-        return ExperimentResult.from_dict(payload["result"])
-
-    def store(
-        self,
-        key: str,
-        digest: str,
-        result: ExperimentResult,
-        store_path: Union[None, str, os.PathLike] = None,
-    ) -> Path:
-        """Write a cache entry (atomically).
-
-        Parameters
-        ----------
-        store_path:
-            When given, the entry becomes a pointer to this finalized
-            record-store file instead of embedding the result.
-
-        Returns
-        -------
-        Path
-            The entry's path.
-        """
-        self._root.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(key, digest)
-        if store_path is not None:
-            payload: Dict[str, Any] = {"digest": digest, "store": str(store_path)}
-        else:
-            payload = {"digest": digest, "result": result.to_dict()}
-        # Per-writer tmp name: concurrent runs storing the same digest
-        # must not consume each other's tmp file mid-replace.
-        tmp = path.with_suffix(f".{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True))
-        tmp.replace(path)
-        return path
-
-
 class _PreparedRun:
     """Mutable batch-execution state of one requested experiment."""
 
@@ -732,8 +645,8 @@ class _PreparedRun:
 
 
 class ExperimentRunner:
-    """Schedules :class:`ExperimentSpec` batches with sharding, streaming
-    records, and caching.
+    """Schedules :class:`ExperimentSpec` batches with sharding and
+    streamed, replayable records.
 
     Parameters
     ----------
@@ -741,28 +654,23 @@ class ExperimentRunner:
         Worker processes.  ``1`` runs every shard inline (same code path,
         bit-identical records); larger values drain the *global* shard
         queue — shards of different experiments interleave freely.
-    cache_dir:
-        Directory for the result cache; ``None`` consults the
-        ``REPRO_EXPERIMENT_CACHE`` environment variable and, when that is
-        unset too, disables caching.
     backend:
         Backend policy installed (process-wide, restored afterwards) for
         the duration of each batch; shards install it in their workers.
     records_dir:
         Directory for the streamed :class:`~repro.api.records.RecordStore`;
         ``None`` consults ``REPRO_EXPERIMENT_RECORDS`` and, when that is
-        unset too, disables record streaming.
-    resume:
-        Resume from the record store: finalized runs are loaded outright,
-        partial runs keep their recorded shard layout and skip every
-        sealed shard.  Requires a records directory.
+        unset too, disables record streaming.  A finalized run of the
+        same digest is replayed instead of computed, and a ``.partial``
+        one is continued: it keeps its recorded shard layout and skips
+        every sealed shard.
     cost_model:
         Measured per-unit cost weights for shard sizing and queue order
         (see :mod:`repro.api.costmodel`).  ``None`` consults the
         ``REPRO_COST_MODEL`` environment variable and, when that is unset
         too, falls back to unit-count scheduling; ``True`` stores the
-        model as ``costmodel.json`` next to the result cache (or the
-        record store) when one is configured, in memory otherwise;
+        model as ``costmodel.json`` in the records directory when one is
+        configured, in memory otherwise;
         ``False`` disables it outright; a path or a ready
         :class:`~repro.api.costmodel.CostModel` is used as given.  The
         model never changes the records — only how they are scheduled.
@@ -770,46 +678,32 @@ class ExperimentRunner:
     Raises
     ------
     ValueError
-        If ``jobs < 1``, or ``resume=True`` without a records directory.
+        If ``jobs < 1``.
     """
 
     def __init__(
         self,
         jobs: int = 1,
-        cache_dir: Union[None, str, os.PathLike] = None,
         backend: BackendSpec = None,
         records_dir: Union[None, str, os.PathLike] = None,
-        resume: bool = False,
         cost_model: Union[None, bool, str, os.PathLike, CostModel] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
         self._jobs = int(jobs)
-        if cache_dir is None:
-            cache_dir = os.environ.get(ENV_CACHE_DIR, "").strip() or None
-        self._cache = None if cache_dir is None else ResultCache(cache_dir)
         if records_dir is None:
             records_dir = os.environ.get(ENV_RECORDS_DIR, "").strip() or None
         self._records = (
             None if records_dir is None else RecordStore(records_dir)
         )
-        if resume and self._records is None:
-            raise ValueError(
-                "resume=True requires a records directory (records_dir= or "
-                f"the {ENV_RECORDS_DIR} environment variable)"
-            )
-        self._resume = bool(resume)
         self._backend_mode = (
             None if backend is None else BackendPolicy.coerce(backend).mode
         )
-        self._cost_model = self._resolve_cost_model(
-            cost_model, cache_dir, records_dir
-        )
+        self._cost_model = self._resolve_cost_model(cost_model, records_dir)
 
     @staticmethod
     def _resolve_cost_model(
         spec: Union[None, bool, str, os.PathLike, CostModel],
-        cache_dir: Union[None, str, os.PathLike],
         records_dir: Union[None, str, os.PathLike],
     ) -> Optional[CostModel]:
         """Normalise the ``cost_model`` argument (see the class docstring)."""
@@ -822,21 +716,15 @@ class ExperimentRunner:
         if isinstance(spec, CostModel):
             return spec
         if spec is True:
-            base = cache_dir if cache_dir is not None else records_dir
-            if base is None:
+            if records_dir is None:
                 return CostModel()
-            return CostModel(Path(base) / DEFAULT_FILENAME)
+            return CostModel(Path(records_dir) / DEFAULT_FILENAME)
         return CostModel(spec)
 
     @property
     def jobs(self) -> int:
         """Worker-process count shards are scheduled across."""
         return self._jobs
-
-    @property
-    def cache(self) -> Optional[ResultCache]:
-        """The result cache, or ``None`` when caching is off."""
-        return self._cache
 
     @property
     def records(self) -> Optional[RecordStore]:
@@ -856,7 +744,8 @@ class ExperimentRunner:
         spec: Union[str, ExperimentSpec],
         scale: str = "quick",
     ) -> ExperimentResult:
-        """Run one experiment (cache-aware) and return its result.
+        """Run one experiment (replayed from the record store when it holds
+        the run) and return its result.
 
         Raises
         ------
@@ -968,10 +857,10 @@ class ExperimentRunner:
     ) -> _PreparedRun:
         """Resolve one requested experiment into schedulable state.
 
-        Resolves the spec, computes the digest, replays the cache or a
-        finalized store file when possible, derives the work plan's units
-        and shard layout (adopting a resumed partial file's layout), and
-        opens the record-store writer.  A ``(key, digest)`` already in
+        Resolves the spec, computes the digest, replays a finalized store
+        file when one exists, derives the work plan's units and shard
+        layout (adopting a continued partial file's layout), and opens the
+        record-store writer.  A ``(key, digest)`` already in
         ``seen`` becomes a duplicate *before* any writer is opened — two
         writers on one ``.partial`` path would truncate each other.  Any
         exception is captured on the returned run instead of raised.
@@ -991,23 +880,19 @@ class ExperimentRunner:
                 run.duplicate_of = first
                 return run
             seen[(spec.key, run.digest)] = run
-            if self._cache is not None:
-                cached = self._cache.load(spec.key, run.digest)
-                if cached is not None:
-                    # Re-stamp the provenance: jobs/backend/elapsed describe
-                    # *this* invocation, not the run that filled the cache
-                    # (whose wall-clock moves into the cache block).
-                    run.result = cached.with_metadata(
+            stored = None
+            if self._records is not None:
+                stored = self._records.load(spec.key, run.digest)
+                if stored is not None and stored.is_complete:
+                    # jobs/backend/elapsed describe *this* invocation.
+                    run.result = stored.to_experiment_result().with_metadata(
                         jobs=self._jobs,
                         backend=policy.mode,
                         elapsed_s=0.0,
-                        cache={
-                            "digest": run.digest,
+                        records={
+                            "path": str(stored.path),
                             "hit": True,
-                            "path": str(
-                                self._cache.path_for(spec.key, run.digest)
-                            ),
-                            "stored_elapsed_s": cached.metadata.get("elapsed_s"),
+                            "resumed_shards": sorted(stored.completed_shards()),
                         },
                     )
                     return run
@@ -1040,23 +925,7 @@ class ExperimentRunner:
                 run.units, seconds_per_unit=run.seconds_per_unit
             )
             if self._records is not None:
-                if self._resume:
-                    stored = self._records.load(spec.key, run.digest)
-                    if stored is not None and stored.is_complete:
-                        run.result = stored.to_experiment_result().with_metadata(
-                            jobs=self._jobs,
-                            backend=policy.mode,
-                            elapsed_s=0.0,
-                            records={
-                                "path": str(stored.path),
-                                "hit": True,
-                                "resumed_shards": sorted(
-                                    stored.completed_shards()
-                                ),
-                            },
-                        )
-                        return run
-                writer = self._records.begin(
+                run.writer = self._records.begin(
                     spec.key,
                     run.digest,
                     {
@@ -1069,20 +938,17 @@ class ExperimentRunner:
                         "units": run.units,
                         "shards": [list(b) for b in run.shards],
                     },
-                    resume=self._resume,
+                    prior=stored,
                 )
-                run.writer = writer
-                carried = writer.carried_records
-                if carried:
-                    # The resumed layout wins; sealed shards are done.
-                    run.shards = [
-                        (int(lo), int(hi))
-                        for lo, hi in writer.manifest.get("shards", [])
-                    ]
-                    for shard, records in carried.items():
-                        if 0 <= shard < len(run.shards):
-                            run.records_by_shard[shard] = records
-                            run.resumed.append(shard)
+                # A continued run keeps its recorded layout, and its
+                # sealed shards are done.
+                run.shards = [
+                    (int(lo), int(hi)) for lo, hi in run.writer.manifest["shards"]
+                ]
+                for shard, records in run.writer.carried_records.items():
+                    if 0 <= shard < len(run.shards):
+                        run.records_by_shard[shard] = records
+                        run.resumed.append(shard)
         except Exception as exc:  # noqa: BLE001 - isolate requested runs
             run.error = exc
         return run
@@ -1147,7 +1013,7 @@ class ExperimentRunner:
     def _record_costs(self, active: Sequence[_PreparedRun]) -> None:
         """Feed this batch's shard timings into the cost model and persist.
 
-        Only fully executed runs count — a resumed run's carried shards
+        Only fully executed runs count — a continued run's carried shards
         were never timed here, and a failed run's timings are partial —
         and each digest is measured once (the model ignores repeats).
         """
@@ -1269,12 +1135,11 @@ class ExperimentRunner:
     def _collect(
         self, run: _PreparedRun, policy: BackendPolicy, started: float
     ) -> None:
-        """Merge a finished run's shards, finalize, store, and cache.
+        """Merge a finished run's shards, finalize, and store.
 
         Shard records are concatenated in unit order (by each shard's
         ``lo``), the spec's ``finalize`` hook reduces them, provenance is
-        stamped, the record stream is atomically finalized, and the cache
-        entry (a store pointer when streaming) is written.
+        stamped, and the record stream is atomically finalized.
 
         Raises
         ------
@@ -1329,8 +1194,7 @@ class ExperimentRunner:
                 "predicted_seconds_per_unit": run.seconds_per_unit,
                 "measured_s": round(sum(run.shard_seconds.values()), 6),
             }
-        store_path: Optional[Path] = None
-        if run.writer is not None and self._records is not None:
+        if run.writer is not None:
             metadata["records"] = {
                 "path": str(run.writer.final_path),
                 "format": "jsonl",
@@ -1343,15 +1207,8 @@ class ExperimentRunner:
             records=tuple(dict(r) for r in records),
             metadata=metadata,
         )
-        if run.writer is not None and self._records is not None:
-            store_path = self._records.finalize(run.writer, result.to_dict())
-        if self._cache is not None:
-            path = self._cache.store(
-                run.spec.key, run.digest, result, store_path=store_path
-            )
-            result = result.with_metadata(
-                cache={"digest": run.digest, "hit": False, "path": str(path)}
-            )
+        if run.writer is not None:
+            run.writer.finalize(result.to_dict())
         run.result = result
 
     #: Smallest worthwhile shard duration: below this, process and

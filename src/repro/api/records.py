@@ -5,8 +5,9 @@ only in memory (and, when caching was on, as opaque JSON blobs).  This
 module gives every experiment run a durable, *streamed* on-disk form:
 
 * one file per experiment run — ``<key>-<digest>.jsonl`` — where
-  ``digest`` is the same content hash the result cache uses, so a store
-  file is invalidated exactly when the cache entry would be;
+  ``digest`` is the content hash of the run's spec, so a changed spec
+  writes a new file and the runner replays a finalized one instead of
+  recomputing it;
 * shard outputs are **appended as they complete** (the scheduler streams
   them in, it never buffers a whole experiment), each line one JSON
   object, so an interrupted run leaves a readable, resumable prefix;
@@ -24,14 +25,14 @@ by their ``"kind"`` field:
 ``manifest``
     Always the first line: store version, experiment key/title/scale,
     the run digest, the work-plan kind, the total unit count and the
-    shard layout ``[[lo, hi), ...]`` — everything a resumed run needs to
-    re-create the exact same shards.
+    shard layout ``[[lo, hi), ...]`` — everything a continued run needs
+    to re-create the exact same shards.
 ``record``
     One per-unit record (a replication's row, a sweep point's row),
     tagged with its shard index and a shard-local sequence number.
 ``shard_done``
-    Appended after a shard's records are flushed; a shard counts as
-    complete on resume *only* when its marker is present with the right
+    Appended after a shard's records are flushed; a continued run counts
+    a shard as complete *only* when its marker is present with the right
     count, so a line torn by a crash discards at most that one shard.
 ``final``
     The reduced :class:`~repro.api.experiments.ExperimentResult` payload;
@@ -46,7 +47,7 @@ Readers and writers
 run, resolve paths); :class:`RecordWriter` is the append-only writer the
 scheduler drives; :class:`StoredRun` is the parsed read view whose
 :meth:`StoredRun.to_experiment_result` feeds
-:func:`repro.experiments.report.render_result` and the cache replay
+:func:`repro.experiments.report.render_result` and the runner's replay
 path.
 """
 
@@ -124,7 +125,7 @@ class StoredRun:
 
     @property
     def digest(self) -> str:
-        """Content digest identifying the run (same hash as the cache)."""
+        """Content digest identifying the run (the spec's content hash)."""
         return str(self._manifest.get("digest", ""))
 
     @property
@@ -312,7 +313,7 @@ class RecordWriter:
 
     @property
     def manifest(self) -> Dict[str, Any]:
-        """The effective manifest (the resumed layout wins on resume)."""
+        """The effective manifest (a continued run's layout wins)."""
         return dict(self._manifest)
 
     @property
@@ -471,15 +472,17 @@ class RecordStore:
         key: str,
         digest: str,
         manifest: Mapping[str, Any],
-        resume: bool = False,
+        prior: Optional[StoredRun] = None,
     ) -> "RecordWriter":
         """Open the streamed writer for one run.
 
-        With ``resume=True`` and a matching ``.partial`` file on disk,
-        the prior run's completed shards are carried into the fresh
-        stream (rewritten clean, so torn trailing lines disappear) and
-        show up in the returned writer via :meth:`carried`.  Otherwise a
-        fresh stream containing only the manifest is started.
+        ``prior`` is an interrupted run to continue — in practice
+        :meth:`load` of a ``.partial`` file.  When it has the same key and
+        digest, its completed shards are carried into the fresh stream
+        (rewritten clean, so torn trailing lines disappear) and its shard
+        layout wins, since pending shards must re-run at the recorded
+        bounds for the records to stay identical.  Otherwise a fresh
+        stream containing only the manifest is started.
 
         Returns
         -------
@@ -490,15 +493,11 @@ class RecordStore:
         """
         carried: Dict[int, List[Dict[str, Any]]] = {}
         manifest = dict(manifest)
-        if resume:
-            prior = read_run(self.partial_path(key, digest))
-            if prior is not None and prior.digest == digest:
-                carried = prior.completed_shards()
-                # The prior shard layout wins: pending shards must re-run
-                # at the recorded bounds for records to stay identical.
-                manifest["shards"] = prior.manifest.get(
-                    "shards", manifest.get("shards", [])
-                )
+        if prior is not None and (prior.key, prior.digest) == (key, digest):
+            carried = prior.completed_shards()
+            manifest["shards"] = prior.manifest.get(
+                "shards", manifest.get("shards", [])
+            )
         return RecordWriter(
             self.partial_path(key, digest),
             self.final_path(key, digest),

@@ -136,26 +136,6 @@ class PiecewiseLinearHull:
         """The v-optimal estimate at seed ``x`` (nonnegative by convexity)."""
         return max(0.0, -self.slope_left_of(x))
 
-    def negated_slopes(self, xs: Sequence[float]) -> np.ndarray:
-        """Vectorized :meth:`negated_slope` over an array of seeds.
-
-        One ``searchsorted`` replaces the per-seed bisection; the segment
-        choice and the arithmetic match the scalar method exactly, so the
-        two agree to the last bit (the curve-tracing experiments rely on
-        this when they batch whole seed grids).
-        """
-        query = np.asarray(xs, dtype=float)
-        if len(self._xs) == 1:
-            return np.zeros(query.shape)
-        hull_x = np.asarray(self._xs)
-        hull_y = np.asarray(self._ys)
-        idx = np.searchsorted(hull_x, query, side="left") - 1
-        idx = np.clip(idx, 0, len(hull_x) - 2)
-        slopes = (hull_y[idx + 1] - hull_y[idx]) / (
-            hull_x[idx + 1] - hull_x[idx]
-        )
-        return np.maximum(0.0, -slopes)
-
     def squared_slope_integral(self) -> float:
         """``∫_0^1 (hull slope)^2 du`` — the minimum attainable
         ``E[estimate^2]`` for the corresponding data vector.

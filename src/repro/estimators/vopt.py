@@ -80,25 +80,6 @@ class VOptimalOracle(Estimator):
             raise ValueError(f"seed must be in (0, 1], got {u}")
         return self.hull.negated_slope(u)
 
-    def estimates_at_seeds(self, us) -> "np.ndarray":
-        """Vectorized :meth:`estimate_at_seed` over an array of seeds.
-
-        Builds the hull once and evaluates every seed with one
-        ``searchsorted`` — bit-identical to the scalar method (the hull
-        segments and arithmetic are shared).
-
-        Raises
-        ------
-        ValueError
-            If any seed lies outside ``(0, 1]``.
-        """
-        import numpy as np
-
-        us = np.asarray(us, dtype=float)
-        if us.size and (us.min() <= 0.0 or us.max() > 1.0):
-            raise ValueError("seeds must lie in (0, 1]")
-        return self.hull.negated_slopes(us)
-
     def estimate(self, outcome: Outcome) -> float:
         """Oracle estimate for an outcome *of the oracle's own vector*.
 

@@ -19,9 +19,10 @@ Every experiment is registered as a declarative
 executed by :class:`~repro.api.experiments.ExperimentRunner`, which
 returns structured :class:`~repro.api.experiments.ExperimentResult`
 records, shards Monte-Carlo replications across processes
-(shard-count-invariant seeding via ``SeedSequence.spawn``), and caches
-completed runs on disk by a content hash of the spec.  Rendering lives in
-:mod:`.report` (:func:`~repro.experiments.report.render_result`).
+(shard-count-invariant seeding via ``SeedSequence.spawn``), and, given a
+records directory, streams every run to disk and replays finished runs
+by a content hash of the spec.  :func:`~repro.experiments.report.render_result`
+is the one text report of a result.
 
 The command line is ``python -m repro.experiments.run_all`` with flags
 
@@ -30,14 +31,19 @@ The command line is ``python -m repro.experiments.run_all`` with flags
   ``lp_difference`` also resolve);
 * ``--jobs N`` — worker processes for sharded replications (records are
   bit-identical for any value);
-* ``--cache-dir DIR`` — enable the on-disk result cache (also via the
-  ``REPRO_EXPERIMENT_CACHE`` environment variable);
+* ``--records-dir DIR`` — stream records to DIR, replay finished runs
+  and continue interrupted ones (also via the
+  ``REPRO_EXPERIMENT_RECORDS`` environment variable);
+* ``--cost-model PATH`` — measured per-experiment weights for shard
+  sizing and queue order;
 * ``--backend scalar|vectorized|auto`` — process-wide backend policy;
 * ``--format text|json`` — rendered report or structured records.
 
-Each module still exposes ``run(...)`` returning structured results and
-``format_report(...)`` rendering them as text; the engine speedup gate
-``benchmarks/run_bench.py`` and the tests call the same entry points.
+Each module exposes the spec's task hooks (``compute``, or
+``sweep_points``/``sweep``/``finalize`` and ``replicate``/``finalize``
+for sharded specs) and, for interactive use, ``run(...)`` returning
+structured rows; the engine speedup gate ``benchmarks/run_bench.py`` and
+the tests call the same entry points.
 """
 
 from . import (

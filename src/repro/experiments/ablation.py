@@ -29,7 +29,7 @@ against).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -42,9 +42,8 @@ from ..estimators.dyadic import DyadicEstimator
 from ..estimators.horvitz_thompson import HorvitzThompsonEstimator
 from ..estimators.lstar import LStarOneSidedRangePPS
 from ..estimators.ustar import UStarOneSidedRangePPS
-from .report import format_table
 
-__all__ = ["AblationRow", "run", "compute", "format_report"]
+__all__ = ["AblationRow", "run", "compute"]
 
 
 @dataclass(frozen=True)
@@ -201,23 +200,3 @@ def compute(params=None):
         "notes": notes,
     }
     return records, metadata
-
-
-def format_report(rows: List[AblationRow] = None) -> str:
-    rows = rows if rows is not None else run()
-    table = format_table(
-        headers=["similarity", "estimator", "total MSE", "normalised"],
-        rows=[
-            (r.similarity, r.estimator, r.total_mse, r.normalised_mse)
-            for r in rows
-        ],
-        title="E11 — estimator ablation across similarity regimes (RG_1+ sums)",
-    )
-    lines = [table, "", "Winner by similarity:"]
-    for similarity, name in sorted(winners_by_similarity(rows).items()):
-        lines.append(f"  similarity={similarity}: {name}")
-    lines.append("")
-    lines.append("Worst-case penalty vs the best estimator at each level:")
-    for name, penalty in sorted(worst_case_penalty(rows).items()):
-        lines.append(f"  {name}: {penalty:.3g}x")
-    return "\n".join(lines)

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 from ..api.backend import BackendSpec
 from ..core.functions import OneSidedRange
 from ..core.schemes import pps_scheme
@@ -25,9 +23,8 @@ from ..engine.moments import batch_variances
 from ..estimators.dyadic import DyadicEstimator
 from ..estimators.horvitz_thompson import HorvitzThompsonEstimator
 from ..estimators.lstar import LStarOneSidedRangePPS
-from .report import format_table
 
-__all__ = ["DominanceRow", "run", "compute", "format_report"]
+__all__ = ["DominanceRow", "run", "compute"]
 
 
 @dataclass(frozen=True)
@@ -143,33 +140,3 @@ def compute(params=None):
     ]
     metadata = {"lstar_dominates_everywhere": all_dominated(rows)}
     return records, metadata
-
-
-def format_report(rows: List[DominanceRow] = None) -> str:
-    rows = rows if rows is not None else run()
-    table_rows = []
-    for row in rows:
-        table_rows.append(
-            (
-                str(row.vector),
-                row.true_value,
-                row.lstar_variance,
-                row.ht_variance if row.ht_applicable else float("nan"),
-                row.ht_over_lstar if row.ht_applicable else float("nan"),
-                row.dyadic_variance,
-                "yes" if row.ht_applicable else "no (HT inapplicable)",
-            )
-        )
-    return format_table(
-        headers=[
-            "vector",
-            "f(v)",
-            "Var[L*]",
-            "Var[HT]",
-            "Var[HT]/Var[L*]",
-            "Var[dyadic]",
-            "HT applicable",
-        ],
-        rows=table_rows,
-        title="E8 — L* dominates Horvitz–Thompson (RG_1+, PPS tau*=1)",
-    )

@@ -20,9 +20,8 @@ from typing import List, Tuple
 from ..aggregates.dataset import MultiInstanceDataset, example1_dataset
 from ..api.session import EstimationSession
 from ..core.functions import AbsoluteCombination
-from .report import format_table
 
-__all__ = ["QueryRow", "run", "compute", "format_report"]
+__all__ = ["QueryRow", "run", "compute"]
 
 
 @dataclass(frozen=True)
@@ -108,22 +107,3 @@ def compute(params=None):
         if not row.matches_paper
     ]
     return records, {"notes": notes}
-
-
-def format_report(rows: List[QueryRow] = None) -> str:
-    """Text table of the Example 1 reproduction."""
-    rows = rows if rows is not None else run()
-    return format_table(
-        headers=["query", "items", "computed", "paper", "agrees"],
-        rows=[
-            (
-                row.query,
-                "{" + ",".join(row.selection) + "}",
-                row.computed,
-                row.paper_value,
-                "yes" if row.matches_paper else "no (paper arithmetic slip)",
-            )
-            for row in rows
-        ],
-        title="E1 — Example 1 queries over the 3-instance, 8-item dataset",
-    )

@@ -16,11 +16,9 @@ from typing import Dict, List, Optional, Tuple
 from ..aggregates.coordinated import CoordinatedSample
 from ..aggregates.dataset import example1_dataset
 from ..api.session import EstimationSession
-from .report import format_table
 
 __all__ = [
     "PAPER_SEEDS", "PAPER_PATTERNS", "OutcomeRow", "run", "compute",
-    "format_report",
 ]
 
 #: The per-item seeds fixed in Example 2 of the paper.
@@ -126,21 +124,3 @@ def compute(params=None):
 
 def _show(pattern: Tuple[Optional[float], ...]) -> str:
     return "(" + ", ".join("*" if v is None else f"{v:g}" for v in pattern) + ")"
-
-
-def format_report(rows: List[OutcomeRow] = None) -> str:
-    if rows is None:
-        rows, _ = run()
-
-    def show(pattern: Tuple[Optional[float], ...]) -> str:
-        return "(" + ", ".join("*" if v is None else f"{v:g}" for v in pattern) + ")"
-
-    return format_table(
-        headers=["item", "seed", "computed outcome", "paper outcome", "agrees"],
-        rows=[
-            (row.item, row.seed, show(row.computed), show(row.paper),
-             "yes" if row.matches_paper else "NO")
-            for row in rows
-        ],
-        title="E2 — Example 2 coordinated PPS outcomes (tau*=1, fixed seeds)",
-    )

@@ -28,7 +28,7 @@ from ..core.schemes import pps_scheme
 from .report import format_series
 
 __all__ = [
-    "CurvePair", "run", "compute", "closed_form_lower_bound", "format_report",
+    "CurvePair", "run", "compute", "closed_form_lower_bound",
 ]
 
 #: The configurations plotted in the paper's Example 3.
@@ -119,8 +119,8 @@ def structural_checks(pairs: List[CurvePair] = None) -> Dict[str, bool]:
 
 
 def _series_lines(pairs: List[CurvePair], points: int) -> List[str]:
-    """The subsampled LB/CH series plus the caption-check lines —
-    shared by the legacy text report and the spec task's notes."""
+    """The spec task's notes: the subsampled LB/CH series plus the
+    caption-check lines."""
     lines = []
     for pair in pairs:
         idx = np.linspace(0, len(pair.seeds) - 1, points).astype(int)
@@ -148,11 +148,3 @@ def compute(params=None):
     ]
     notes = _series_lines(pairs, int(params.get("points", 9)))
     return records, {"checks": dict(structural_checks(pairs)), "notes": notes}
-
-
-def format_report(pairs: List[CurvePair] = None, points: int = 9) -> str:
-    """Compact text rendering of the figure series plus the caption checks."""
-    pairs = pairs if pairs is not None else run()
-    lines = ["E3 — Example 3 lower-bound functions and hulls (RG_p+, PPS tau*=1)"]
-    lines.extend(_series_lines(pairs, points))
-    return "\n".join(lines)

@@ -22,17 +22,14 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..api.backend import BackendPolicy, BackendSpec
 from ..core.functions import OneSidedRange
 from ..core.schemes import pps_scheme
-from ..engine.batch_outcome import BatchOutcome
-from ..engine.kernels import resolve_kernel
 from ..estimators.lstar import LStarEstimator, LStarOneSidedRangePPS
 from ..estimators.ustar import UStarOneSidedRangePPS
 from ..estimators.vopt import VOptimalOracle
 from .report import format_series
 
-__all__ = ["EstimateCurves", "run", "compute", "format_report"]
+__all__ = ["EstimateCurves", "run", "compute"]
 
 PAPER_VECTORS: Tuple[Tuple[float, float], ...] = ((0.6, 0.2), (0.6, 0.0))
 PAPER_EXPONENTS: Tuple[float, ...] = (0.5, 1.0, 2.0)
@@ -55,21 +52,8 @@ class EstimateCurves:
         return float(np.max(np.abs(self.lstar - self.lstar_closed_form)))
 
 
-def _trace(estimator, scheme, vector, seeds: np.ndarray, resolved: str) -> np.ndarray:
-    """Estimates at every seed of the grid, kernel-batched when allowed.
-
-    One :class:`~repro.engine.batch_outcome.BatchOutcome` over the whole
-    seed grid replaces the per-seed ``estimate_for`` loop whenever the
-    resolved backend permits it and a kernel covers the estimator; the
-    scalar loop remains the fallback (and the reference the parity tests
-    compare against).
-    """
-    if resolved != "scalar":
-        kernel = resolve_kernel(estimator, scheme)
-        if kernel is not None:
-            tiled = np.tile(np.asarray(vector, dtype=float), (len(seeds), 1))
-            batch = BatchOutcome.sample_vectors(scheme, tiled, seeds)
-            return kernel.estimate_batch(batch)
+def _trace(estimator, scheme, vector, seeds: np.ndarray) -> np.ndarray:
+    """The estimator's estimates at every seed of the grid."""
     return np.array(
         [estimator.estimate_for(scheme, vector, float(u)) for u in seeds]
     )
@@ -79,23 +63,16 @@ def run(
     exponents: Sequence[float] = PAPER_EXPONENTS,
     vectors: Sequence[Tuple[float, float]] = PAPER_VECTORS,
     grid: int = 120,
-    backend: BackendSpec = None,
 ) -> List[EstimateCurves]:
     """Trace L*, U* and v-optimal estimates for every configuration.
 
-    The closed-form L* and U* curves batch through the engine kernels
-    and the v-optimal curve through the vectorized hull-slope lookup
-    (dispatch by ``backend``, sized on the whole experiment's seed
-    grid).  The *generic* L* curve always stays on the scalar quadrature
-    path: it is the reference the closed form is compared against, so
-    batching it through the same kernel would make the comparison
-    vacuous.
+    Every curve is traced seed by seed.  Batching the closed forms
+    through the engine kernels did not pay at these grid sizes, and the
+    generic L* curve must stay on the scalar quadrature path anyway: it
+    is the reference the closed form is compared against.
     """
     scheme = pps_scheme([1.0, 1.0])
     seeds = np.linspace(0.01, 0.8, grid)
-    resolved = BackendPolicy.coerce(backend).resolve(
-        grid * len(exponents) * len(vectors)
-    )
     results: List[EstimateCurves] = []
     for p in exponents:
         target = OneSidedRange(p=p)
@@ -104,26 +81,17 @@ def run(
         ustar = UStarOneSidedRangePPS(p=p)
         for vector in vectors:
             oracle = VOptimalOracle(scheme, target, vector, grid=4096)
-            l_vals = np.array(
-                [lstar.estimate_for(scheme, vector, float(u)) for u in seeds]
-            )
-            l_cf_vals = _trace(lstar_cf, scheme, vector, seeds, resolved)
-            u_vals = _trace(ustar, scheme, vector, seeds, resolved)
-            if resolved != "scalar":
-                v_vals = oracle.estimates_at_seeds(seeds)
-            else:
-                v_vals = np.array(
-                    [oracle.estimate_at_seed(float(u)) for u in seeds]
-                )
             results.append(
                 EstimateCurves(
                     p=p,
                     vector=tuple(vector),
                     seeds=seeds,
-                    lstar=l_vals,
-                    lstar_closed_form=l_cf_vals,
-                    ustar=u_vals,
-                    voptimal=v_vals,
+                    lstar=_trace(lstar, scheme, vector, seeds),
+                    lstar_closed_form=_trace(lstar_cf, scheme, vector, seeds),
+                    ustar=_trace(ustar, scheme, vector, seeds),
+                    voptimal=np.array(
+                        [oracle.estimate_at_seed(float(u)) for u in seeds]
+                    ),
                 )
             )
     return results
@@ -155,8 +123,8 @@ def structural_checks(curves: List[EstimateCurves] = None) -> Dict[str, bool]:
 
 
 def _series_lines(curves: List[EstimateCurves], points: int) -> List[str]:
-    """The subsampled estimate series plus the caption-check lines —
-    shared by the legacy text report and the spec task's notes."""
+    """The spec task's notes: the subsampled estimate series plus the
+    caption-check lines."""
     lines = []
     for c in curves:
         idx = np.linspace(0, len(c.seeds) - 1, points).astype(int)
@@ -185,10 +153,3 @@ def compute(params=None):
     ]
     notes = _series_lines(curves, int(params.get("points", 9)))
     return records, {"checks": dict(structural_checks(curves)), "notes": notes}
-
-
-def format_report(curves: List[EstimateCurves] = None, points: int = 9) -> str:
-    curves = curves if curves is not None else run()
-    lines = ["E4 — Example 4 estimate curves (L*, U*, v-optimal; RG_p+, PPS tau*=1)"]
-    lines.extend(_series_lines(curves, points))
-    return "\n".join(lines)

@@ -32,7 +32,6 @@ from ..estimators.order_optimal import (
     order_by_target_ascending,
     order_by_target_descending,
 )
-from .report import format_table
 
 __all__ = [
     "DEFAULT_PROBABILITIES",
@@ -40,7 +39,6 @@ __all__ = [
     "paper_voptimal_tables",
     "run",
     "compute",
-    "format_report",
 ]
 
 #: Default inclusion probabilities (pi_1, pi_2, pi_3); any increasing
@@ -159,8 +157,8 @@ def custom_order_paper_values(
     ``(0, pi2]`` (not ``(0, pi1]``), so unbiasedness for the vector
     ``(3, 2)`` forces ``(1 - (pi3 - pi2) * est(3, <=2)) / pi2`` instead.
     We compare against the corrected expression (the paper's own ``(2, 1)``
-    and ``(3, 0)`` lines follow exactly this pattern) and note the typo in
-    EXPERIMENTS.md.
+    and ``(3, 0)`` lines follow exactly this pattern); the E5 report names
+    that line "(corrected expression)".
     """
     pi1, pi2, pi3 = probabilities
     estimator = result.custom_order
@@ -214,7 +212,11 @@ def compute(params=None):
             )
         records.append(record)
     forced = custom_order_paper_values(result, probabilities)
-    notes = ["Unbiasedness-forced estimates of the custom order vs paper:"]
+    notes = [
+        f"pi = {probabilities}; each cell lists the estimate per seed "
+        "interval, most informative first.",
+        "Unbiasedness-forced estimates of the custom order vs paper:",
+    ]
     all_agree = True
     for name, (ours, paper) in forced.items():
         agree = abs(ours - paper) <= 1e-9
@@ -229,37 +231,3 @@ def compute(params=None):
         "notes": notes,
     }
     return records, metadata
-
-
-def format_report(
-    probabilities: Tuple[float, float, float] = DEFAULT_PROBABILITIES,
-) -> str:
-    result = run(probabilities)
-    problem = result.problem
-    intervals = problem.intervals
-    positive_vectors = [v for v in problem.vectors if problem.value(v) > 0]
-    rows = []
-    for v in sorted(positive_vectors, key=lambda t: (problem.value(t), t)):
-        row = [f"{v}"]
-        for estimator in (result.lstar_order, result.ustar_order, result.custom_order):
-            cells = [
-                f"{estimator.estimate_for_vector(v, iv.midpoint):.4g}"
-                for iv in intervals
-                if problem.value(v) > 0
-            ]
-            row.append(" / ".join(cells))
-        rows.append(row)
-    table = format_table(
-        headers=["vector", "L*-order (per interval)", "U*-order", "difference-2 first"],
-        rows=rows,
-        title=(
-            "E5 — Example 5 order-optimal estimators over {0..3}^2, RG_1+, "
-            f"pi={probabilities} (per seed interval, most informative first)"
-        ),
-    )
-    forced = custom_order_paper_values(result, probabilities)
-    lines = [table, "", "Unbiasedness-forced estimates of the custom order vs paper:"]
-    for name, (ours, paper) in forced.items():
-        agree = "ok" if abs(ours - paper) <= 1e-9 else "FAIL"
-        lines.append(f"[{agree}] {name}: library={ours:.6g} paper={paper:.6g}")
-    return "\n".join(lines)

@@ -40,7 +40,6 @@ import numpy as np
 from ..aggregates.dataset import MultiInstanceDataset
 from ..api.session import EstimationSession
 from ..datasets.synthetic import ip_flow_pairs, surname_pairs
-from .report import format_table
 
 __all__ = [
     "WorkloadResult",
@@ -49,7 +48,6 @@ __all__ = [
     "replicate",
     "finalize",
     "winners",
-    "format_report",
 ]
 
 #: Registry-resolved estimation pipeline (the spec's EstimationPlan
@@ -268,7 +266,10 @@ def finalize(
             )
     results = _as_results(final)
     who_won = winners(results)
-    notes = ["Lower-RMSE estimator per configuration:"]
+    notes = [
+        "true_value is the exact L_p^p difference of the two instances.",
+        "Lower-RMSE estimator per configuration:",
+    ]
     for (workload, p, rate), name in sorted(who_won.items()):
         notes.append(f"  {workload} p={p} rate={rate}: {name}")
     metadata = {
@@ -333,39 +334,3 @@ def winners(results: List[WorkloadResult]) -> Dict[Tuple[str, float, float], str
     return {
         key: min(scores, key=scores.get) for key, scores in table.items()
     }
-
-
-def format_report(results: List[WorkloadResult] = None) -> str:
-    results = results if results is not None else run()
-    rows = [
-        (
-            r.workload,
-            r.p,
-            r.sampling_rate,
-            r.estimator,
-            r.true_value,
-            r.mean_estimate,
-            r.mean_relative_error,
-            r.rmse,
-        )
-        for r in results
-    ]
-    table = format_table(
-        headers=[
-            "workload",
-            "p",
-            "rate",
-            "estimator",
-            "true Lp^p",
-            "mean est.",
-            "mean rel. err",
-            "rmse",
-        ],
-        rows=rows,
-        title="E9 — Lp-difference estimation on similar vs dissimilar workloads",
-    )
-    who_won = winners(results)
-    lines = [table, "", "Lower-RMSE estimator per configuration:"]
-    for (workload, p, rate), name in sorted(who_won.items()):
-        lines.append(f"  {workload} p={p} rate={rate}: {name}")
-    return "\n".join(lines)

@@ -13,7 +13,7 @@ and reports the supremum per estimator and exponent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -24,17 +24,14 @@ from ..estimators.base import Estimator
 from ..estimators.horvitz_thompson import HorvitzThompsonEstimator
 from ..estimators.lstar import LStarOneSidedRangePPS
 from ..estimators.ustar import UStarOneSidedRangePPS
-from .report import format_table
 
 __all__ = [
     "SweepResult",
     "default_vector_grid",
     "run",
-    "compute",
     "sweep_points",
     "sweep",
     "finalize",
-    "format_report",
 ]
 
 
@@ -102,34 +99,6 @@ def run(
     return results
 
 
-def summary(results: List[SweepResult] = None) -> Dict[str, float]:
-    """Supremum ratio per (estimator, exponent)."""
-    results = results if results is not None else run()
-    return {f"{r.estimator} p={r.p}": r.supremum for r in results}
-
-
-def compute(params=None):
-    """Spec task: supremum competitive ratios over the vector sweep."""
-    params = params or {}
-    grid = default_vector_grid(int(params.get("grid_points", 7)))
-    results = run(
-        exponents=tuple(params.get("exponents", (1.0, 2.0))),
-        vectors=grid,
-        include_baselines=bool(params.get("include_baselines", True)),
-    )
-    records = [
-        {
-            "estimator": r.estimator,
-            "p": r.p,
-            "sup_ratio": r.supremum,
-            "worst_vector": str(r.worst_vector),
-            "n_vectors": len(r.reports),
-        }
-        for r in results
-    ]
-    return records, {}
-
-
 def _estimators_for(p: float, include_baselines: bool) -> List[Estimator]:
     """The estimator panel at exponent ``p`` (L*, plus U*/HT as baselines)."""
     estimators: List[Estimator] = [LStarOneSidedRangePPS(p=p)]
@@ -143,7 +112,7 @@ def sweep_points(params=None) -> List[List[float]]:
     """SweepPlan hook: the (exponent, v1, v2) grid, one unit per point.
 
     A pure function of the parameters (grid points and exponents), so the
-    scheduler and every resumed run enumerate the identical list.
+    scheduler and every continued run enumerate the identical list.
     """
     params = params or {}
     grid = default_vector_grid(int(params.get("grid_points", 7)))
@@ -207,20 +176,6 @@ def finalize(params, records):
         }
         for (estimator, p), entry in sup.items()
     ]
-    return rows, {}
-
-
-def format_report(results: List[SweepResult] = None) -> str:
-    results = results if results is not None else run()
-    rows = [
-        (r.estimator, r.p, r.supremum, str(r.worst_vector), len(r.reports))
-        for r in results
-    ]
-    return format_table(
-        headers=["estimator", "p", "sup ratio", "worst vector", "#vectors"],
-        rows=rows,
-        title=(
-            "E7 — competitive ratios over the unit-square sweep "
-            "(RG_p+, PPS tau*=1; paper quotes ~2 and ~2.5 for L*)"
-        ),
-    )
+    notes = ["The paper quotes L* ratios of about 2 and 2.5 for RG_p+ "
+             "(its introduction and conclusion disagree on which p is which)."]
+    return rows, {"notes": notes}

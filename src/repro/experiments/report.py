@@ -1,16 +1,12 @@
-"""Plain-text reporting helpers shared by the experiment modules.
+"""The experiment report: :func:`render_result` and its text helpers.
 
-Every experiment returns structured data (dataclasses / dicts / lists of
-rows) *and* can render itself as an aligned text table, so the same code
-path serves the benchmarks, the EXPERIMENTS.md records, and interactive
-use.  No plotting dependency is required: "figures" are emitted as the
-numeric series behind them.
-
-:func:`render_result` is the rendering seam of the declarative pipeline:
+:func:`render_result` is the only renderer of the declarative pipeline:
 an :class:`~repro.api.experiments.ExperimentResult` — records plus
 metadata, whatever experiment produced it — becomes the text section the
-``run_all`` CLI prints, so the experiment tasks themselves never format
-anything.
+``run_all`` CLI prints, so the experiment tasks themselves format nothing
+beyond the ``notes`` lines they attach.  No plotting dependency is
+required: "figures" are emitted as the numeric series behind them
+(:func:`format_series`).
 """
 
 from __future__ import annotations
@@ -73,7 +69,8 @@ def render_result(result, precision: int = 6) -> str:
 
     Layout: a title line (``E9 — <title>``), the record table, any
     ``notes`` lines the experiment attached to its metadata, and one
-    provenance line (scale, backend, jobs, wall-clock, cache state).
+    provenance line (scale, backend, jobs, wall-clock, record-store
+    state).
     """
     if hasattr(result, "to_experiment_result"):
         result = result.to_experiment_result()
@@ -103,9 +100,6 @@ def _provenance_line(result) -> str:
         bits.append(f"jobs={metadata['jobs']}")
     if metadata.get("elapsed_s") is not None:
         bits.append(f"elapsed={metadata['elapsed_s']:.3g}s")
-    cache = metadata.get("cache")
-    if cache:
-        bits.append("cache=hit" if cache.get("hit") else "cache=stored")
     records = metadata.get("records")
     if records:
         if records.get("hit"):

@@ -4,11 +4,10 @@ This is the command-line face of the reproduction: each experiment is a
 registered :class:`~repro.api.experiments.ExperimentSpec` executed by an
 :class:`~repro.api.experiments.ExperimentRunner`, which flattens every
 selected experiment's shards into one global largest-work-first queue,
-drains it with a shared process pool, streams completed shard records to
-an on-disk :class:`~repro.api.records.RecordStore`, and memoizes
-completed runs in a content-hash cache (see the
-:mod:`repro.api.experiments` docstring for the determinism, resume, and
-cache-invalidation rules — or the docs site under ``docs/``).
+drains it with a shared process pool, and streams completed shard records
+to an on-disk :class:`~repro.api.records.RecordStore`, which also replays
+completed runs (see the :mod:`repro.api.experiments` docstring for the
+determinism and invalidation rules — or the docs site under ``docs/``).
 
 Usage::
 
@@ -17,9 +16,7 @@ Usage::
     python -m repro.experiments.run_all --smoke --jobs 2   # CI smoke pass
     python -m repro.experiments.run_all --only E6 E7
     python -m repro.experiments.run_all --backend vectorized
-    python -m repro.experiments.run_all --cache-dir .repro-cache
     python -m repro.experiments.run_all --records-dir .repro-records
-    python -m repro.experiments.run_all --records-dir .repro-records --resume
     python -m repro.experiments.run_all --cost-model .repro-cost.json
     python -m repro.experiments.run_all --format json > results.json
 
@@ -30,15 +27,14 @@ cost weights (see :mod:`repro.api.costmodel`): the first run measures
 each experiment's seconds-per-unit and stores them keyed by the spec
 digest; later runs size and order shards by predicted seconds instead of
 unit counts.  The model is a pure scheduling hint — records stay
-bit-identical with it on, off, or stale.  ``--records-dir`` streams per-replication /
-per-sweep-point records to append-only JSONL files (one per experiment
-run, finalized atomically); ``--resume`` re-opens an interrupted store,
-skips every completed shard, and reproduces the exact records of an
+bit-identical with it on, off, or stale.  ``--records-dir`` streams
+per-replication / per-sweep-point records to append-only JSONL files (one
+per experiment run, finalized atomically).  A later pass with the same
+directory replays every finalized run, and continues an interrupted one:
+it skips every completed shard and reproduces the exact records of an
 uninterrupted run.  ``--backend`` installs a process-wide
 :class:`~repro.api.backend.BackendPolicy` so every estimation loop
-follows one dispatch rule; ``--cache-dir`` enables the result cache
-(also settable via ``REPRO_EXPERIMENT_CACHE``), whose entries point into
-the record store when one is active.  A failing experiment is reported
+follows one dispatch rule.  A failing experiment is reported
 on stderr and turns the exit code nonzero instead of escaping as a
 traceback; the remaining experiments still run.
 """
@@ -73,16 +69,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes draining the global shard "
                              "queue (records are identical for any value)")
-    parser.add_argument("--cache-dir", default=None,
-                        help="directory for the on-disk result cache "
-                             "(default: $REPRO_EXPERIMENT_CACHE, else off)")
     parser.add_argument("--records-dir", default=None,
-                        help="directory for the streamed record store "
-                             f"(default: ${ENV_RECORDS_DIR}, else off)")
-    parser.add_argument("--resume", action="store_true",
-                        help="resume from the record store: skip completed "
-                             "shards of interrupted runs (needs a records "
-                             "directory)")
+                        help="directory for the streamed record store, which "
+                             "replays finished runs and continues interrupted "
+                             f"ones (default: ${ENV_RECORDS_DIR}, else off)")
     parser.add_argument("--cost-model", default=None,
                         help="path of the measured cost-model file used to "
                              "size and order shards by predicted seconds "
@@ -99,13 +89,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         runner = ExperimentRunner(
             jobs=args.jobs,
-            cache_dir=args.cache_dir,
             backend=args.backend,
             records_dir=args.records_dir,
-            resume=args.resume,
             cost_model=args.cost_model,
         )
-    except ValueError as exc:  # e.g. --resume without a records directory
+    except ValueError as exc:  # e.g. --jobs 0
         print(f"error: {exc}", file=sys.stderr)
         return 2
     keys = args.only if args.only else canonical_keys()

@@ -26,16 +26,13 @@ from ..graphs.similarity import (
     exponential_decay,
 )
 from ..sketches.ads import build_all_ads, node_ranks
-from .report import format_table
 
 __all__ = [
     "SimilarityRow",
     "run",
-    "compute",
     "sweep_points",
     "sweep",
     "finalize",
-    "format_report",
 ]
 
 
@@ -99,21 +96,13 @@ def run(
     return rows
 
 
-def mean_error_by_k(rows: List[SimilarityRow]) -> Dict[int, float]:
-    """Mean absolute similarity error per sketch size."""
-    grouped: Dict[int, List[float]] = {}
-    for row in rows:
-        grouped.setdefault(row.k, []).append(row.absolute_error)
-    return {k: float(np.mean(errors)) for k, errors in grouped.items()}
-
-
 def _select_pairs(
     graph: Graph, num_pairs: int, seed: int
 ) -> List[Tuple[object, object]]:
     """The node-pair workload: random pairs plus a few adjacent ones.
 
     Deterministic in ``(graph, num_pairs, seed)`` — the enumeration every
-    shard and every resumed run must agree on.
+    shard and every continued run must agree on.
     """
     rng = np.random.default_rng(seed)
     nodes = graph.nodes()
@@ -194,58 +183,9 @@ def finalize(params, records):
     metadata = {
         "mean_error_by_k": {str(k): errors[k] for k in sorted(errors)},
         "notes": [
-            f"mean |error| at k={k}: {errors[k]:.6g}" for k in sorted(errors)
+            f"mean |error| at k={k}: {errors[k]:.6g} over "
+            f"{len(grouped[k])} pairs"
+            for k in sorted(errors)
         ],
     }
     return list(records), metadata
-
-
-def compute(params=None):
-    """Spec task: ADS similarity-estimation errors by sketch size."""
-    params = params or {}
-    rows = run(
-        ks=tuple(int(k) for k in params.get("ks", (4, 8, 16, 32))),
-        num_pairs=int(params.get("num_pairs", 12)),
-        seed=int(params.get("seed", 3)),
-    )
-    records = [
-        {
-            "pair": str(row.pair),
-            "k": row.k,
-            "exact": row.exact,
-            "estimated": row.estimated,
-            "abs_error": row.absolute_error,
-        }
-        for row in rows
-    ]
-    errors = mean_error_by_k(rows)
-    metadata = {
-        "mean_error_by_k": {str(k): errors[k] for k in sorted(errors)},
-        "notes": [
-            f"mean |error| at k={k}: {errors[k]:.6g}" for k in sorted(errors)
-        ],
-    }
-    return records, metadata
-
-
-def format_report(rows: List[SimilarityRow] = None) -> str:
-    rows = rows if rows is not None else run()
-    errors = mean_error_by_k(rows)
-    summary = format_table(
-        headers=["k", "mean |error|", "#pairs"],
-        rows=[
-            (k, errors[k], sum(1 for r in rows if r.k == k))
-            for k in sorted(errors)
-        ],
-        title="E10 — ADS closeness-similarity estimation error by sketch size",
-    )
-    detail = format_table(
-        headers=["pair", "k", "exact", "estimated", "|error|"],
-        rows=[
-            (str(r.pair), r.k, r.exact, r.estimated, r.absolute_error)
-            for r in rows
-            if r.k == max(errors)
-        ],
-        title="Largest-k per-pair detail",
-    )
-    return summary + "\n\n" + detail

@@ -22,9 +22,8 @@ from ..analysis.competitiveness import (
     tight_family_measured_ratio,
     tight_family_theoretical_ratio,
 )
-from .report import format_table
 
-__all__ = ["RatioPoint", "DEFAULT_EXPONENTS", "run", "compute", "format_report"]
+__all__ = ["RatioPoint", "DEFAULT_EXPONENTS", "run", "compute"]
 
 DEFAULT_EXPONENTS: Sequence[float] = (0.05, 0.1, 0.2, 0.3, 0.4, 0.45, 0.49)
 
@@ -71,20 +70,6 @@ def compute(params=None):
         }
         for pt in points
     ]
-    return records, {}
-
-
-def format_report(points: List[RatioPoint] = None) -> str:
-    points = points if points is not None else run()
-    rows = [
-        (pt.p, pt.measured, pt.theoretical, pt.relative_error, 4.0)
-        for pt in points
-    ]
-    return format_table(
-        headers=["p", "measured ratio", "2/(1-p)", "rel. error", "upper bound"],
-        rows=rows,
-        title=(
-            "E6 — Theorem 4.1 tight family: L* competitive ratio approaches 4 "
-            "as p -> 1/2"
-        ),
-    )
+    notes = ["theoretical = 2/(1-p), the L* ratio at v = 0 on the tight "
+             "family; it approaches the upper bound 4 as p -> 1/2."]
+    return records, {"notes": notes}

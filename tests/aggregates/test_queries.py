@@ -31,7 +31,7 @@ def dataset():
 class TestExample1Queries:
     def test_l1_subset(self, dataset):
         # |0 - 0.44| + |0.23 - 0| + |0.10 - 0.05| = 0.72 (the paper's text
-        # says 0.71 — an arithmetic slip documented in EXPERIMENTS.md).
+        # says 0.71 — an arithmetic slip the E1 report notes).
         assert lpp_difference(dataset, 1.0, (0, 1), ["b", "c", "e"]) == pytest.approx(0.72)
 
     def test_l22_subset(self, dataset):

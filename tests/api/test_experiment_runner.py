@@ -1,11 +1,12 @@
-"""Tests for the declarative experiment API: specs, runner, sharding, cache.
+"""Tests for the declarative experiment API: specs, runner, sharding, replay.
 
 The load-bearing guarantees:
 
 * every experiment E1–E11 is a registered spec (plus descriptive aliases);
 * the same spec produces bit-identical records for any ``jobs`` value and
-  for a cache replay (SeedSequence-per-replication seeding);
-* the cache key is a content hash — any parameter change re-runs;
+  for a replay from the records directory (SeedSequence-per-replication
+  seeding);
+* the record-store key is a content hash — any parameter change re-runs;
 * the golden E1 values reproduce through the runner;
 * the ``run_all`` CLI returns nonzero when an experiment raises.
 """
@@ -101,14 +102,16 @@ class TestShardDeterminism:
         assert serial.records == sharded.records
 
     def test_cache_replay_is_identical(self, tmp_path):
-        first = ExperimentRunner(jobs=2, cache_dir=tmp_path).run(E9_TINY)
-        assert first.metadata["cache"]["hit"] is False
-        replay = ExperimentRunner(jobs=1, cache_dir=tmp_path).run(E9_TINY)
-        assert replay.metadata["cache"]["hit"] is True
+        first = ExperimentRunner(jobs=2, records_dir=tmp_path).run(E9_TINY)
+        assert "hit" not in first.metadata["records"]
+        replay = ExperimentRunner(jobs=1, records_dir=tmp_path).run(E9_TINY)
+        assert replay.metadata["records"]["hit"] is True
+        assert replay.metadata["jobs"] == 1
         assert replay.records == first.records
+        assert "records=replayed" in render_result(replay)
 
     def test_cache_miss_on_parameter_change(self, tmp_path):
-        runner = ExperimentRunner(cache_dir=tmp_path)
+        runner = ExperimentRunner(records_dir=tmp_path)
         runner.run(E9_TINY)
         changed = dataclasses.replace(
             E9_TINY,
@@ -116,7 +119,8 @@ class TestShardDeterminism:
                               "exponents": [1.0], "replications": 6}},
         )
         result = runner.run(changed)
-        assert result.metadata["cache"]["hit"] is False
+        assert "hit" not in result.metadata["records"]
+        assert len(list(tmp_path.glob("E9-*.jsonl"))) == 2
 
     def test_replication_plan_validation(self):
         with pytest.raises(ValueError):

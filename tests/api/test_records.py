@@ -8,8 +8,8 @@ The load-bearing guarantees:
 * a truncated / torn partial file parses to exactly the shards whose
   ``shard_done`` markers survived, so an interrupted run resumes instead
   of corrupting;
-* resuming carries completed shards (and the recorded shard layout)
-  into the fresh stream verbatim.
+* continuing a prior partial run carries its completed shards (and the
+  recorded shard layout) into the fresh stream verbatim.
 """
 
 import json
@@ -137,7 +137,9 @@ class TestTruncationAndResume:
         writer = store.begin("EX", "abc123", MANIFEST)
         writer.append_shard(0, SHARD0)
         writer.abandon()
-        resumed = store.begin("EX", "abc123", MANIFEST, resume=True)
+        prior = store.load("EX", "abc123")
+        relaid = dict(MANIFEST, shards=[[0, 4]])
+        resumed = store.begin("EX", "abc123", relaid, prior=prior)
         assert resumed.carried_records == {0: SHARD0}
         assert resumed.manifest["shards"] == [[0, 2], [2, 4]]
         resumed.append_shard(1, SHARD1)
@@ -164,7 +166,8 @@ class TestTruncationAndResume:
         writer.append_shard(0, SHARD0)
         writer.abandon()
         other = dict(MANIFEST, digest="fff000")
-        resumed = store.begin("EX", "fff000", other, resume=True)
+        prior = store.load("EX", "abc123")
+        resumed = store.begin("EX", "fff000", other, prior=prior)
         assert resumed.carried_records == {}
         resumed.abandon()
 

@@ -7,11 +7,12 @@ The load-bearing guarantees:
   interleave instead of draining one experiment at a time;
 * E7 (vector-grid sweep) and E10 (node-pair sweep) shard through the
   runner with records bit-identical for any ``jobs`` value;
-* a mid-run interruption leaves a resumable store: ``resume=True`` skips
-  every sealed shard, re-runs only the rest, and reproduces the exact
-  records of an uninterrupted run;
-* with a record store active, cache entries are pointers into the store
-  (deleting the store file turns them into misses);
+* a mid-run interruption leaves a ``.partial`` store file that the next
+  run of the same spec continues: it skips every sealed shard, re-runs
+  only the rest, and reproduces the exact records of an uninterrupted
+  run;
+* the records directory is the runner's only memo: a finalized file is
+  replayed, and a deleted one is a miss;
 * one failing experiment never aborts the batch;
 * the cost model changes only the schedule, never the records: runs are
   bit-identical across ``jobs`` 1/2/4 and across model on/off/stale.
@@ -165,9 +166,7 @@ class TestRecordStreaming:
         )
         final.unlink()
 
-        resumed = ExperimentRunner(
-            jobs=2, records_dir=tmp_path, resume=True
-        ).run(E9_TINY)
+        resumed = ExperimentRunner(jobs=2, records_dir=tmp_path).run(E9_TINY)
         assert resumed.records == full.records  # bit-identical
         skipped = resumed.metadata["records"]["resumed_shards"]
         assert skipped and len(skipped) < len(resumed.metadata["shards"])
@@ -176,15 +175,10 @@ class TestRecordStreaming:
         restored = read_run(next(tmp_path.glob("E9-*.jsonl")))
         assert restored.is_complete
         assert restored.raw_records() == original_raw
-        # A further resume replays the finalized store outright.
-        rerun = ExperimentRunner(jobs=1, records_dir=tmp_path,
-                                 resume=True).run(E9_TINY)
+        # A further run replays the finalized store outright.
+        rerun = ExperimentRunner(jobs=1, records_dir=tmp_path).run(E9_TINY)
         assert rerun.metadata["records"].get("hit") is True
         assert rerun.records == full.records
-
-    def test_resume_requires_a_records_dir(self):
-        with pytest.raises(ValueError, match="records"):
-            ExperimentRunner(resume=True)
 
     def test_failed_run_leaves_partial_not_final(self, tmp_path):
         # A finalize hook with the wrong signature fails *after* the
@@ -203,31 +197,28 @@ class TestRecordStreaming:
 
 class TestCachePointers:
     def test_cache_entry_points_into_the_store(self, tmp_path):
-        cache_dir, records_dir = tmp_path / "cache", tmp_path / "records"
-        runner = ExperimentRunner(jobs=2, cache_dir=cache_dir,
-                                  records_dir=records_dir)
-        first = runner.run(E9_TINY)
-        entry = json.loads(next(cache_dir.glob("E9-*.json")).read_text())
-        assert "store" in entry and "result" not in entry
-        replay = ExperimentRunner(jobs=1, cache_dir=cache_dir,
-                                  records_dir=records_dir).run(E9_TINY)
-        assert replay.metadata["cache"]["hit"] is True
+        first = ExperimentRunner(jobs=2, records_dir=tmp_path).run(E9_TINY)
+        stored = next(tmp_path.glob("E9-*.jsonl"))
+        assert first.metadata["records"]["path"] == str(stored)
+        replay = ExperimentRunner(jobs=1, records_dir=tmp_path).run(E9_TINY)
+        assert replay.metadata["records"]["hit"] is True
+        assert replay.metadata["records"]["path"] == str(stored)
         assert replay.records == first.records
+        # The replay reads the store and writes nothing new.
+        assert sorted(tmp_path.iterdir()) == [stored]
 
     def test_deleting_the_store_file_is_a_cache_miss(self, tmp_path):
-        cache_dir, records_dir = tmp_path / "cache", tmp_path / "records"
-        runner = ExperimentRunner(cache_dir=cache_dir, records_dir=records_dir)
-        runner.run(E10_TINY)
-        next(records_dir.glob("E10-*.jsonl")).unlink()
-        rerun = ExperimentRunner(cache_dir=cache_dir,
-                                 records_dir=records_dir).run(E10_TINY)
-        assert rerun.metadata["cache"]["hit"] is False
+        first = ExperimentRunner(records_dir=tmp_path).run(E10_TINY)
+        next(tmp_path.glob("E10-*.jsonl")).unlink()
+        rerun = ExperimentRunner(records_dir=tmp_path).run(E10_TINY)
+        assert "hit" not in rerun.metadata["records"]
+        assert rerun.records == first.records
+        assert len(list(tmp_path.glob("E10-*.jsonl"))) == 1
 
-    def test_cache_without_store_still_embeds(self, tmp_path):
-        runner = ExperimentRunner(cache_dir=tmp_path)
+    def test_cost_model_file_lives_in_the_records_dir(self, tmp_path):
+        runner = ExperimentRunner(records_dir=tmp_path, cost_model=True)
         runner.run(E10_TINY)
-        entry = json.loads(next(tmp_path.glob("E10-*.json")).read_text())
-        assert "result" in entry and "store" not in entry
+        assert (tmp_path / "costmodel.json").exists()
 
 
 class TestCostModel:
@@ -337,30 +328,17 @@ class TestCostModel:
 
 
 class TestRunAllCLIRecords:
-    def test_records_dir_and_resume_flags(self, tmp_path, capsys):
+    def test_records_dir_flag_replays(self, tmp_path, capsys):
         from repro.experiments import run_all
 
         records = tmp_path / "records"
-        exit_code = run_all.main([
-            "--smoke", "--only", "E10", "--records-dir", str(records),
-        ])
-        assert exit_code == 0
-        capsys.readouterr()
+        argv = ["--smoke", "--only", "E10", "--records-dir", str(records),
+                "--format", "json"]
+        assert run_all.main(argv) == 0
+        first = json.loads(capsys.readouterr().out)
         stored = list(records.glob("E10-*.jsonl"))
         assert len(stored) == 1
-        exit_code = run_all.main([
-            "--smoke", "--only", "E10", "--records-dir", str(records),
-            "--resume", "--format", "json",
-        ])
-        captured = capsys.readouterr()
-        assert exit_code == 0
-        payload = json.loads(captured.out)
+        assert run_all.main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
         assert payload[0]["metadata"]["records"]["hit"] is True
-
-    def test_resume_without_records_dir_exits_2(self, capsys):
-        from repro.experiments import run_all
-
-        exit_code = run_all.main(["--resume", "--only", "E1"])
-        captured = capsys.readouterr()
-        assert exit_code == 2
-        assert "records" in captured.err
+        assert payload[0]["records"] == first[0]["records"]

@@ -93,8 +93,7 @@ class TestValidator:
         # deliberate.
         assert set(run_bench.SUITE) == {
             "batch_sum", "simulate_grid", "moments_dominance",
-            "moments_ablation", "example4_curves", "similarity_pairs",
-            "ratios_sweep",
+            "moments_ablation", "similarity_pairs", "ratios_sweep",
         }
 
 

@@ -1,18 +1,21 @@
-"""Scalar parity of every newly kernel-backed experiment path.
+"""Scalar parity and dispatch of the kernel-backed experiment paths.
 
-PR 5 moved the last scalar replication/sweep/moment loops (E4 curve
-grids, E7 ratio numerators, E8 dominance, E10 similarity pairs, E11
-ablation) onto the engine.  These tests pin each path to its scalar
-twin: running with ``backend="scalar"`` must reproduce the engine-backed
-records to tight tolerance, and the golden structural findings must be
-unchanged on both paths.  Quick slices run in tier-1; the exhaustive
-default-scale comparisons carry the ``slow`` marker.
+E7's ratio numerators, E8's dominance variances, E10's similarity pairs
+and E11's ablation moments run on the engine.  These tests pin each path
+to its scalar twin: running with ``backend="scalar"`` must reproduce the
+engine-backed records to tight tolerance, and the golden structural
+findings must be unchanged on both paths.  The dispatch tests check that
+the ``auto`` policy actually sends E7's and E10's full-scale work to the
+engine.  Quick slices run in tier-1; the exhaustive default-scale
+comparisons carry the ``slow`` marker.
 """
 
 import numpy as np
 import pytest
 
-from repro.experiments import ablation, dominance, example4, ratios, similarity
+from repro.api.backend import BackendPolicy, set_default_backend
+from repro.api.experiments import resolve_spec
+from repro.experiments import ablation, dominance, ratios, similarity
 
 
 def _assert_rows_close(scalar_rows, engine_rows, rel=1e-6):
@@ -68,27 +71,6 @@ class TestAblationParity:
         )
 
 
-class TestExample4Parity:
-    def test_curves_match_scalar(self):
-        scalar = example4.run(grid=40, backend="scalar")
-        engine = example4.run(grid=40, backend="vectorized")
-        for a, b in zip(scalar, engine):
-            assert (a.p, a.vector) == (b.p, b.vector)
-            np.testing.assert_array_equal(a.lstar, b.lstar)  # stays scalar
-            np.testing.assert_allclose(
-                b.lstar_closed_form, a.lstar_closed_form, rtol=1e-9, atol=1e-12
-            )
-            np.testing.assert_allclose(b.ustar, a.ustar, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(
-                b.voptimal, a.voptimal, rtol=1e-12, atol=1e-12
-            )
-
-    def test_caption_checks_hold_on_engine_path(self):
-        curves = example4.run(grid=50, backend="vectorized")
-        checks = example4.structural_checks(curves)
-        assert all(checks.values()), checks
-
-
 class TestRatiosParity:
     def test_reports_match_scalar(self):
         grid = ratios.default_vector_grid(2)
@@ -141,3 +123,84 @@ class TestSimilarityParity:
         engine = similarity.run(backend="vectorized", **kwargs)
         for a, b in zip(scalar, engine):
             assert b.estimated == pytest.approx(a.estimated, rel=1e-9)
+
+
+@pytest.fixture
+def auto_policy():
+    """The default ``auto`` policy, whatever the environment says."""
+    previous = set_default_backend(BackendPolicy())
+    yield
+    set_default_backend(previous)
+
+
+def _full_scale_points(key, module, stride):
+    params = resolve_spec(key).merged_params("full")
+    return params, module.sweep_points(params)[::stride]
+
+
+class TestAutoDispatchAtFullScale:
+    """``auto`` must keep E7's and E10's full-scale work on the engine.
+
+    The speedup gate only reports these paths as informational (their
+    smoke-size speedups sit under ``--min-speedup``), so a silent fall
+    back to the scalar path would otherwise pass CI.
+    """
+
+    def test_e7_ratio_numerators_run_on_the_engine(
+        self, monkeypatch, auto_policy
+    ):
+        from repro.analysis import competitiveness
+        from repro.engine import moments
+
+        engine_calls = []
+        real = moments.batch_moments
+
+        def spy(estimator, *args, **kwargs):
+            engine_calls.append(estimator.name)
+            return real(estimator, *args, **kwargs)
+
+        def scalar(*args, **kwargs):
+            raise AssertionError("E7 fell back to the scalar quadrature")
+
+        monkeypatch.setattr(moments, "batch_moments", spy)
+        monkeypatch.setattr(competitiveness, "expected_square", scalar)
+        # Every 7th point covers both exponents and the v2 = 0 boundary;
+        # dispatch is sized per point, so a slice sees full-scale sizes.
+        params, points = _full_scale_points("E7", ratios, 7)
+        records = ratios.sweep(params, points, 0)
+        assert {p for p, _, _ in points} == {1.0, 2.0}
+        assert any(v2 == 0.0 for _, _, v2 in points)
+        assert engine_calls == [r["estimator"] for r in records]
+        assert {"HT", "L* (closed form, RG_p+)"} <= set(engine_calls)
+
+    def test_e10_pairs_run_on_the_engine(self, monkeypatch, auto_policy):
+        from repro.graphs import similarity as graph_similarity
+
+        calls = []
+        real_estimate = similarity.estimate_closeness_similarity
+        real_batched = graph_similarity._batched_similarity
+
+        def estimate(sketch_u, sketch_v, *args, **kwargs):
+            union = set(sketch_u.entries) | set(sketch_v.entries)
+            calls.append({"k": sketch_u.k, "union": len(union),
+                          "engine": False})
+            return real_estimate(sketch_u, sketch_v, *args, **kwargs)
+
+        def batched(*args, **kwargs):
+            calls[-1]["engine"] = True
+            return real_batched(*args, **kwargs)
+
+        monkeypatch.setattr(similarity, "estimate_closeness_similarity",
+                            estimate)
+        monkeypatch.setattr(graph_similarity, "_batched_similarity", batched)
+        params, points = _full_scale_points("E10", similarity, 1)
+        records = similarity.sweep(params, points, 0)
+        assert len(calls) == len(records) == len(points) * len(params["ks"])
+        threshold = BackendPolicy().auto_threshold
+        # The policy sizes a pair as two estimates per union node: every
+        # pair at or past the threshold must take the engine, which at
+        # full scale is every pair with k >= 8 and most of those at k = 4.
+        for call in calls:
+            assert call["engine"] == (2 * call["union"] >= threshold), call
+        assert all(call["engine"] for call in calls if call["k"] >= 8)
+        assert sum(call["engine"] for call in calls) > 0.8 * len(calls)

@@ -1,9 +1,13 @@
 """Integration tests: every experiment module runs and reproduces the
-paper's qualitative findings at reduced scale."""
+paper's qualitative findings at reduced scale, and every experiment's
+report — :func:`~repro.experiments.report.render_result` of its runner
+result — carries the facts it is read for."""
 
 import numpy as np
 import pytest
 
+from repro.api.experiments import ExperimentRunner
+from repro.experiments.report import render_result
 from repro.experiments import (
     ablation,
     dominance,
@@ -19,6 +23,10 @@ from repro.experiments import (
 )
 
 
+def _report(key: str, scale: str = "smoke") -> str:
+    return render_result(ExperimentRunner().run(key, scale=scale))
+
+
 class TestExample1:
     def test_values_and_report(self):
         rows = example1.run()
@@ -27,8 +35,9 @@ class TestExample1:
         assert by_query["L1"].computed == pytest.approx(0.72)
         assert by_query["L2^2"].matches_paper
         assert by_query["L2"].matches_paper
-        report = example1.format_report(rows)
+        report = _report("E1")
         assert "E1" in report and "L1+" in report
+        assert "L1: paper arithmetic slip" in report
 
 
 class TestExample2:
@@ -43,7 +52,7 @@ class TestExample2:
         assert description["entries"][1] == ("below", 0.32)
 
     def test_report_mentions_every_item(self):
-        report = example2.format_report()
+        report = _report("E2")
         for item in "abcdefgh":
             assert f"\n{item} " in report or report.startswith(item)
 
@@ -62,7 +71,9 @@ class TestExample3:
                 assert value == pytest.approx(expected, abs=1e-12)
 
     def test_report_renders(self):
-        assert "E3" in example3.format_report(example3.run(grid=40))
+        report = _report("E3")
+        assert "E3" in report and "p=0.5 v=(0.6, 0.2) CH:" in report
+        assert "[ok] p=1.0: LB equals hull when v2=0" in report
 
 
 class TestExample4:
@@ -72,7 +83,9 @@ class TestExample4:
         assert all(checks.values()), checks
 
     def test_report_renders(self):
-        assert "E4" in example4.format_report(example4.run(grid=30))
+        report = _report("E4")
+        assert "E4" in report and "p=2.0 v=(0.6, 0.0) v-opt:" in report
+        assert "[FAIL]" not in report
 
 
 class TestExample5:
@@ -91,8 +104,9 @@ class TestExample5:
             assert ours == pytest.approx(paper, abs=1e-9)
 
     def test_report_renders(self):
-        report = example5.format_report()
+        report = _report("E5")
         assert "E5" in report and "ok" in report
+        assert "pi = (0.25, 0.5, 0.75)" in report
 
 
 class TestTheorem41:
@@ -106,7 +120,8 @@ class TestTheorem41:
         assert points[-1].measured > 3.5
 
     def test_report_renders(self):
-        assert "Theorem 4.1" in theorem41.format_report(theorem41.run((0.25,)))
+        report = _report("E6")
+        assert "Theorem 4.1" in report and "2/(1-p)" in report
 
 
 class TestRatios:
@@ -123,11 +138,9 @@ class TestRatios:
         assert max(by_p.values()) <= 4.0
 
     def test_report_renders(self):
-        results = ratios.run(
-            exponents=(1.0,), vectors=[(0.6, 0.2), (0.6, 0.0)],
-            include_baselines=False,
-        )
-        assert "E7" in ratios.format_report(results)
+        report = _report("E7")
+        assert "E7" in report and "sup_ratio" in report
+        assert "about 2 and 2.5" in report
 
 
 class TestDominance:
@@ -143,7 +156,8 @@ class TestDominance:
         )
 
     def test_report_renders(self):
-        assert "E8" in dominance.format_report(dominance.run(vectors=[(0.6, 0.2)]))
+        report = _report("E8")
+        assert "E8" in report and "ht_over_lstar" in report
 
 
 @pytest.mark.slow
@@ -158,23 +172,24 @@ class TestLpDifference:
         assert winners[("surnames (similar)", 1.0, 0.1)] == "L*"
 
     def test_report_renders(self):
-        results = lp_difference.run(
-            num_items=60, sampling_rates=(0.2,), exponents=(1.0,), replications=5
-        )
-        assert "E9" in lp_difference.format_report(results)
+        report = _report("E9")
+        assert "E9" in report and "Lower-RMSE estimator" in report
 
 
 @pytest.mark.slow
 class TestSimilarityExperiment:
     def test_error_shrinks_with_k(self):
         rows = similarity.run(ks=(4, 24), num_pairs=6, seed=1)
-        errors = similarity.mean_error_by_k(rows)
+        errors = {
+            k: np.mean([r.absolute_error for r in rows if r.k == k])
+            for k in (4, 24)
+        }
         assert errors[24] < errors[4]
         assert errors[24] < 0.15
 
     def test_report_renders(self):
-        rows = similarity.run(ks=(6,), num_pairs=3, seed=2)
-        assert "E10" in similarity.format_report(rows)
+        report = _report("E10")
+        assert "E10" in report and "mean |error| at k=4" in report
 
 
 @pytest.mark.slow
@@ -192,5 +207,5 @@ class TestAblation:
         assert penalties["U*"] > penalties["L*"]
 
     def test_report_renders(self):
-        rows = ablation.run(similarities=(0.5,), num_items=10)
-        assert "E11" in ablation.format_report(rows)
+        report = _report("E11")
+        assert "E11" in report and "Worst-case penalty" in report
