@@ -184,6 +184,7 @@ def _bench_moments_ablation(smoke: bool):
 
 
 def _bench_similarity_pairs(smoke: bool):
+    from repro.engine.moments import approx_node_count
     from repro.experiments import similarity
 
     ks, pairs = ((4,), 2) if smoke else ((4, 12), 6)
@@ -191,9 +192,9 @@ def _bench_similarity_pairs(smoke: bool):
         lambda: similarity.run(ks=ks, num_pairs=pairs),
         len(ks) * (pairs + 3),  # _select_pairs adds 3 adjacent pairs
         {"ks": list(ks), "num_pairs": pairs},
-        # each pair dispatches on two estimates per sketch-union node;
+        # each pair dispatches on its sketch union x quadrature nodes;
         # the default 120-node graph bounds the union.
-        2 * 120,
+        120 * approx_node_count(2),
     )
 
 

@@ -38,6 +38,7 @@ __all__ = [
     "competitive_ratio",
     "RatioReport",
     "ratio_sweep",
+    "expected_squares",
     "supremum_ratio",
     "TightFamilyTarget",
     "tight_family_problem",
@@ -110,14 +111,9 @@ def ratio_sweep(
     curve tracing is vectorized independently of the policy.
     """
     vectors = [tuple(float(x) for x in vector) for vector in vectors]
-    numerators = _batched_expected_squares(
-        estimator, scheme, target, vectors, backend
+    numerators = expected_squares(
+        estimator, scheme, target, vectors, rtol=rtol, backend=backend
     )
-    if numerators is None:
-        numerators = [
-            expected_square(estimator, scheme, vector, rtol=rtol)
-            for vector in vectors
-        ]
     reports = []
     for vector, numerator in zip(vectors, numerators):
         denominator = minimal_expected_square(scheme, target, vector, grid=grid)
@@ -130,6 +126,32 @@ def ratio_sweep(
             )
         )
     return reports
+
+
+def expected_squares(
+    estimator: Estimator,
+    scheme: MonotoneSamplingScheme,
+    target: EstimationTarget,
+    vectors: Sequence[Sequence[float]],
+    rtol: float = 1e-7,
+    backend=None,
+) -> List[float]:
+    """The ratio numerators ``E[est^2]``, one per vector.
+
+    Batched through the engine when the policy and a kernel allow it,
+    otherwise by the scalar adaptive quadrature.  Separate from
+    :func:`ratio_sweep` so a caller pairing several estimators with the
+    same vectors builds each vector's v-optimal hull only once.
+    """
+    numerators = _batched_expected_squares(
+        estimator, scheme, target, vectors, backend
+    )
+    if numerators is None:
+        numerators = [
+            expected_square(estimator, scheme, vector, rtol=rtol)
+            for vector in vectors
+        ]
+    return numerators
 
 
 def _batched_expected_squares(
@@ -185,22 +207,37 @@ class TightFamilyTarget(EstimationTarget):
     def __init__(self, p: float) -> None:
         if not 0.0 <= p < 0.5:
             raise ValueError("the tight family needs p in [0, 0.5)")
-        self.p = float(p)
+        self._p = float(p)
+        self._exponent = 1.0 - self._p
+
+    @property
+    def p(self) -> float:
+        return self._p
 
     def __call__(self, vector: Sequence[float]) -> float:
         (v,) = vector
         v = min(max(float(v), 0.0), 1.0)
-        return (1.0 - v ** (1.0 - self.p)) / (1.0 - self.p)
+        return (1.0 - v ** self._exponent) / self._exponent
 
     def infimum_over_box(
         self, known: Mapping[int, float], upper: Mapping[int, float]
     ) -> float:
+        # E6 evaluates this once per node of a nested quadrature, so
+        # __call__ is written out here: the same clamp (the comparisons of
+        # min(max(v, 0.0), 1.0)) and the same float operations.
         if 0 in known:
-            return self((known[0],))
-        # f is decreasing, so the infimum over v < bound is the value at
-        # the bound (approached from below).
-        bound = min(1.0, upper[0])
-        return self((bound,))
+            v = float(known[0])
+        else:
+            # f is decreasing, so the infimum over v < bound is the value
+            # at the bound (approached from below), capped at 1.
+            v = upper[0]
+            v = float(v if v < 1.0 else 1.0)
+        if 0.0 > v:
+            v = 0.0
+        if 1.0 < v:
+            v = 1.0
+        exponent = self._exponent
+        return (1.0 - v ** exponent) / exponent
 
     def supremum_over_box(
         self, known: Mapping[int, float], upper: Mapping[int, float]

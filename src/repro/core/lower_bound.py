@@ -21,6 +21,7 @@ Two views are provided:
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -77,14 +78,41 @@ class OutcomeLowerBound(LowerBoundCurve):
         self._outcome = outcome
         self._target = target
         self.lower_limit = outcome.seed
+        # The curve is evaluated once per quadrature node, so each entry's
+        # threshold callable is resolved here rather than per call.
+        scheme = outcome.scheme
+        self._entries = tuple(
+            (i, value, _threshold_callable(scheme, i))
+            for i, value in enumerate(outcome.values)
+        )
+        # The bounds Outcome._check_seed enforces, computed the same way.
+        self._seed_floor = outcome.seed - 1e-12
+        self._seed_ceiling = 1.0 + 1e-12
 
     @property
     def outcome(self) -> Outcome:
         return self._outcome
 
     def __call__(self, u: float) -> float:
-        known = self._outcome.known_at(u)
-        upper = self._outcome.upper_bounds_at(u)
+        """``target.infimum_over_box(outcome.known_at(u),
+        outcome.upper_bounds_at(u))``, built in one pass.
+
+        Each threshold is evaluated once and the seed is range-checked
+        once; the dictionaries, their order and the floats are exactly the
+        ones the two ``Outcome`` methods build.
+        """
+        if u < self._seed_floor or u > self._seed_ceiling:
+            self._outcome._check_seed(u)
+        known = {}
+        upper = {}
+        for i, value, threshold in self._entries:
+            t = threshold(u)
+            if value is None:
+                upper[i] = t
+            elif value >= t:
+                known[i] = value
+            elif value < t:
+                upper[i] = t
         return self._target.infimum_over_box(known, upper)
 
     def breakpoints(self) -> Tuple[float, ...]:
@@ -95,6 +123,14 @@ class OutcomeLowerBound(LowerBoundCurve):
         # general; the value at the observed seed is the tightest
         # available lower bound.
         return self(self._outcome.seed)
+
+
+def _threshold_callable(scheme: MonotoneSamplingScheme, index: int):
+    """``u -> scheme.threshold(index, u)``, without the per-call dispatch
+    when the scheme is a plain :class:`CoordinatedScheme`."""
+    if type(scheme).threshold is CoordinatedScheme.threshold:
+        return scheme.thresholds[index]
+    return functools.partial(scheme.threshold, index)
 
 
 class VectorLowerBound(LowerBoundCurve):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -47,33 +47,49 @@ def lower_hull_points(
         raise ValueError("xs and ys must have the same length")
     if not xs:
         raise ValueError("at least one point is required")
+    xs = [float(x) for x in xs]
+    ys = [float(y) for y in ys]
     # Deduplicate x keeping the minimum y (the hull only sees the lowest
-    # point above each abscissa).
-    best = {}
-    for x, y in zip(xs, ys):
-        x = float(x)
-        y = float(y)
-        if x not in best or y < best[x]:
-            best[x] = y
-    points = sorted(best.items())
-    hull: List[Tuple[float, float]] = []
-    for x, y in points:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+    # point above each abscissa).  Traced curves have distinct abscissae,
+    # where the plain mapping is the same dictionary.
+    best = dict(zip(xs, ys))
+    if len(best) < len(xs):
+        best = {}
+        for x, y in zip(xs, ys):
+            if x not in best or y < best[x]:
+                best[x] = y
+    # This loop runs once per traced point of every v-optimal hull, so the
+    # chain lives in two preallocated float lists (its length in ``size``)
+    # with its last two vertices mirrored in locals: no tuple is built and
+    # no list is indexed unless a vertex is dropped.
+    hull_x = [0.0] * len(best)
+    hull_y = [0.0] * len(best)
+    size = 0
+    x1 = y1 = x2 = y2 = 0.0  # the chain's last two vertices, once size >= 2
+    for x, y in sorted(best.items()):
+        while size >= 2:
             # Keep the chain convex: the middle point must lie strictly
             # below the segment joining its neighbours.  Collinear (or
             # above-the-chord) middle points are dropped; the comparison is
             # exact so that extremely skewed point spacings are still
             # handled correctly.
-            cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
-            if cross <= 0.0:
-                hull.pop()
+            if (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1) <= 0.0:
+                size -= 1
+                x2 = x1
+                y2 = y1
+                if size >= 2:
+                    x1 = hull_x[size - 2]
+                    y1 = hull_y[size - 2]
             else:
                 break
-        hull.append((x, y))
-    hull_x = tuple(p[0] for p in hull)
-    hull_y = tuple(p[1] for p in hull)
-    return hull_x, hull_y
+        hull_x[size] = x
+        hull_y[size] = y
+        size += 1
+        x1 = x2
+        y1 = y2
+        x2 = x
+        y2 = y
+    return tuple(hull_x[:size]), tuple(hull_y[:size])
 
 
 class PiecewiseLinearHull:

@@ -17,7 +17,12 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis.competitiveness import RatioReport, ratio_sweep, supremum_ratio
+from ..analysis.competitiveness import (
+    RatioReport,
+    expected_squares,
+    minimal_expected_square,
+    supremum_ratio,
+)
 from ..core.functions import OneSidedRange
 from ..core.schemes import pps_scheme
 from ..estimators.base import Estimator
@@ -79,22 +84,28 @@ def run(
     engine quadrature (default: the process-wide policy).
     """
     scheme = pps_scheme([1.0, 1.0])
-    vectors = list(vectors) if vectors is not None else default_vector_grid()
+    if vectors is None:
+        vectors = default_vector_grid()
+    vectors = [tuple(float(x) for x in vector) for vector in vectors]
     results: List[SweepResult] = []
     for p in exponents:
         target = OneSidedRange(p=p)
+        # One v-optimal hull per vector, shared by the whole panel.
+        denominators = {
+            vector: minimal_expected_square(scheme, target, vector, grid=4096)
+            for vector in vectors
+        }
         for estimator in _estimators_for(p, include_baselines):
-            if isinstance(estimator, HorvitzThompsonEstimator):
-                # HT is undefined (zero revelation probability) when v2 = 0;
-                # restrict its sweep to the vectors where it applies.
-                usable = [v for v in vectors if v[1] > 0.0]
-            else:
-                usable = vectors
-            reports = ratio_sweep(
-                estimator, scheme, target, usable, grid=4096, backend=backend
+            usable = [v for v in vectors if _applies(estimator, v)]
+            numerators = expected_squares(
+                estimator, scheme, target, usable, backend=backend
+            )
+            reports = tuple(
+                RatioReport(estimator.name, v, numerator, denominators[v])
+                for v, numerator in zip(usable, numerators)
             )
             results.append(
-                SweepResult(estimator=estimator.name, p=p, reports=tuple(reports))
+                SweepResult(estimator=estimator.name, p=p, reports=reports)
             )
     return results
 
@@ -106,6 +117,12 @@ def _estimators_for(p: float, include_baselines: bool) -> List[Estimator]:
         estimators.append(UStarOneSidedRangePPS(p=p))
         estimators.append(HorvitzThompsonEstimator(OneSidedRange(p=p)))
     return estimators
+
+
+def _applies(estimator: Estimator, vector: Tuple[float, float]) -> bool:
+    """HT is undefined (zero revelation probability) on the ``v2 = 0``
+    boundary; every other estimator of the panel covers the whole grid."""
+    return not isinstance(estimator, HorvitzThompsonEstimator) or vector[1] > 0.0
 
 
 def sweep_points(params=None) -> List[List[float]]:
@@ -135,19 +152,22 @@ def sweep(params, points, start) -> List[dict]:
     scheme = pps_scheme([1.0, 1.0])
     records: List[dict] = []
     for p, v1, v2 in points:
-        target = OneSidedRange(p=float(p))
-        for estimator in _estimators_for(float(p), include_baselines):
-            if isinstance(estimator, HorvitzThompsonEstimator) and v2 <= 0.0:
+        p = float(p)
+        vector = (float(v1), float(v2))
+        target = OneSidedRange(p=p)
+        # The denominator depends on the vector only: one hull per point.
+        denominator = minimal_expected_square(scheme, target, vector, grid=4096)
+        for estimator in _estimators_for(p, include_baselines):
+            if not _applies(estimator, vector):
                 continue
-            report = ratio_sweep(
-                estimator, scheme, target, [(float(v1), float(v2))], grid=4096
-            )[0]
+            (numerator,) = expected_squares(estimator, scheme, target, [vector])
+            report = RatioReport(estimator.name, vector, numerator, denominator)
             records.append(
                 {
                     "estimator": estimator.name,
-                    "p": float(p),
-                    "v1": float(v1),
-                    "v2": float(v2),
+                    "p": p,
+                    "v1": vector[0],
+                    "v2": vector[1],
                     "ratio": float(report.ratio),
                 }
             )

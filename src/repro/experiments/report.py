@@ -11,9 +11,9 @@ required: "figures" are emitted as the numeric series behind them
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Sequence
+from typing import Iterable, List, Sequence
 
-__all__ = ["format_table", "format_series", "format_mapping", "render_result"]
+__all__ = ["format_table", "format_series", "render_result"]
 
 
 def _fmt(value, precision: int = 6) -> str:
@@ -53,11 +53,6 @@ def format_series(
         f"({_fmt(x, precision)}, {_fmt(y, precision)})" for x, y in zip(xs, ys)
     )
     return f"{name}: {pairs}"
-
-
-def format_mapping(mapping: Mapping[str, object], precision: int = 6) -> str:
-    """Render a flat mapping as ``key = value`` lines."""
-    return "\n".join(f"{key} = {_fmt(value, precision)}" for key, value in mapping.items())
 
 
 def render_result(result, precision: int = 6) -> str:

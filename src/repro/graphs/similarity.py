@@ -33,6 +33,7 @@ from ..api.backend import BackendPolicy, BackendSpec
 from ..core.functions import MaxPower, MinPower
 from ..core.outcome import Outcome
 from ..core.schemes import CoordinatedScheme, ThresholdFunction
+from ..engine.moments import approx_node_count
 from ..estimators.base import Estimator
 from ..estimators.lstar import LStarEstimator
 from .dijkstra import shortest_path_lengths
@@ -176,11 +177,13 @@ def estimate_closeness_similarity(
         the whole union of sketch entries in a handful of array
         expressions.  A custom ``estimator_factory`` always takes the
         scalar per-outcome path.  The dispatch decision sizes the input
-        as two per-item estimates per union node.
+        on the scalar path's real work, a quadrature per union node:
+        union nodes × quadrature nodes, as the ratio numerators do.
     """
     union = set(sketch_u.entries) | set(sketch_v.entries)
     if estimator_factory is None:
-        resolved = BackendPolicy.coerce(backend).resolve(2 * len(union))
+        size = len(union) * approx_node_count(2)
+        resolved = BackendPolicy.coerce(backend).resolve(size)
         if resolved != "scalar":
             return _batched_similarity(sketch_u, sketch_v, ranks, alpha, union)
         estimator_factory = LStarEstimator

@@ -10,6 +10,7 @@ from repro.core.lower_hull import (
     PiecewiseLinearHull,
     hull_of_curve,
     lower_hull_points,
+    sample_curve,
 )
 from repro.core.schemes import pps_scheme
 
@@ -67,6 +68,84 @@ class TestLowerHullPoints:
             for i in range(len(hull_x) - 1)
         ]
         assert all(b >= a - 1e-9 for a, b in zip(slopes, slopes[1:]))
+
+
+def _reference_chain(xs, ys):
+    """Frozen copy of the tuple-based monotone chain ``lower_hull_points``
+    used before it kept the chain in parallel float lists; the current
+    implementation must return exactly this."""
+    best = {}
+    for x, y in zip(xs, ys):
+        x = float(x)
+        y = float(y)
+        if x not in best or y < best[x]:
+            best[x] = y
+    points = sorted(best.items())
+    hull = []
+    for x, y in points:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
+            if cross <= 0.0:
+                hull.pop()
+            else:
+                break
+        hull.append((x, y))
+    return tuple(p[0] for p in hull), tuple(p[1] for p in hull)
+
+
+def _exactly(result):
+    """Hull vertices as reprs, so ``-0.0`` and ``0.0`` differ."""
+    return [[repr(v) for v in coordinate] for coordinate in result]
+
+
+class TestLowerHullMatchesReferenceChain:
+    @given(
+        points=st.lists(
+            st.tuples(
+                # A few shared abscissae force duplicate x, including the
+                # 0.0 / -0.0 pair, which the dictionary treats as one key.
+                st.one_of(
+                    st.floats(min_value=-1.0, max_value=1.0),
+                    st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]),
+                    st.integers(min_value=0, max_value=2),
+                ),
+                st.one_of(
+                    st.floats(min_value=-5.0, max_value=5.0),
+                    st.sampled_from([0.0, -0.0, 1.0]),
+                ),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_unsorted_and_duplicate_inputs(self, points):
+        xs = [p[0] for p in points]
+        ys = [p[1] for p in points]
+        assert _exactly(lower_hull_points(xs, ys)) == _exactly(
+            _reference_chain(xs, ys)
+        )
+
+    def test_collinear_runs(self):
+        xs = [0.0, 0.25, 0.5, 0.75, 1.0, 0.5, 0.5]
+        ys = [1.0, 0.75, 0.5, 0.25, 0.0, 0.5, 0.75]
+        assert _exactly(lower_hull_points(xs, ys)) == _exactly(
+            _reference_chain(xs, ys)
+        )
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("vector", [(0.6, 0.0), (0.6, 0.3), (0.9, 0.85)])
+    def test_traced_curves(self, p, vector):
+        curve = VectorLowerBound(
+            pps_scheme([1.0, 1.0]), OneSidedRange(p=p), vector
+        )
+        xs, ys = sample_curve(curve, lower=0.0, upper=1.0, grid=1024)
+        all_x = [0.0] + xs.tolist()
+        all_y = [curve.true_value()] + ys.tolist()
+        assert _exactly(lower_hull_points(all_x, all_y)) == _exactly(
+            _reference_chain(all_x, all_y)
+        )
 
 
 class TestPiecewiseLinearHull:

@@ -6,7 +6,7 @@ result — carries the facts it is read for."""
 import numpy as np
 import pytest
 
-from repro.api.experiments import ExperimentRunner
+from repro.api.experiments import ExperimentRunner, resolve_spec
 from repro.experiments.report import render_result
 from repro.experiments import (
     ablation,
@@ -136,6 +136,28 @@ class TestRatios:
         assert by_p[1.0] == pytest.approx(2.0, abs=0.15)
         assert by_p[2.0] == pytest.approx(2.5, abs=0.3)
         assert max(by_p.values()) <= 4.0
+
+    def test_sweep_builds_one_hull_per_point(self, monkeypatch):
+        """The v-optimal denominator depends on the vector only, so each
+        full-scale sweep point builds one hull for its whole panel."""
+        from repro.core import lower_hull
+
+        hulls = []
+        real = lower_hull.lower_hull_points
+
+        def spy(xs, ys):
+            hulls.append(len(xs))
+            return real(xs, ys)
+
+        monkeypatch.setattr(lower_hull, "lower_hull_points", spy)
+        params = resolve_spec("E7").merged_params("full")
+        points = ratios.sweep_points(params)[::8]
+        records = ratios.sweep(params, points, 0)
+        assert params["include_baselines"]
+        assert any(v2 == 0.0 for _, _, v2 in points)
+        assert len(hulls) == len(points)
+        # L*, U* and HT (HT off the v2 = 0 boundary) share each hull.
+        assert len(records) == sum(2 if v2 == 0.0 else 3 for _, _, v2 in points)
 
     def test_report_renders(self):
         report = _report("E7")

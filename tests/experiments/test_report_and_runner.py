@@ -5,7 +5,6 @@ import pytest
 from repro.api.experiments import ExperimentRunner, canonical_keys
 from repro.experiments import run_all
 from repro.experiments.report import (
-    format_mapping,
     format_series,
     format_table,
     render_result,
@@ -34,10 +33,6 @@ class TestReportHelpers:
         text = format_series("curve", [0.1, 0.2], [1.0, 2.0])
         assert text.startswith("curve:")
         assert "(0.1, 1)" in text and "(0.2, 2)" in text
-
-    def test_format_mapping(self):
-        text = format_mapping({"a": 1.5, "b": "x"})
-        assert "a = 1.5" in text and "b = x" in text
 
 
 class TestRunAll:
