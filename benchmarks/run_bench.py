@@ -5,9 +5,9 @@ reproduction) come from ``perfbench/run.py`` and its workloads in
 ``BENCHMARK.json``.  This harness answers the one question perfbench
 does not: does each vectorized engine path still beat the scalar
 reference on the same call?  It runs a fixed suite of named benches —
-each timing one hot path of the library, then the same computation
-under a forced-scalar policy — with warmup and repeat control, and
-writes a schema-validated JSON payload::
+each timing one hot path of the library and the same computation under
+a forced-scalar policy, one call of each in turn per repeat — with
+warmup and repeat control, and writes a schema-validated JSON payload::
 
     python benchmarks/run_bench.py                  # full suite -> BENCH_<n>.json
     python benchmarks/run_bench.py --smoke          # CI-sized suite
@@ -29,8 +29,10 @@ nonzero when any shared bench's speedup collapsed below ``1 - band`` of
 its old value.  CI runs both on every push: the fresh
 ``--smoke`` payload is checked for schema rot and compared against the
 committed smoke baseline (``benchmarks/baseline_smoke.json``), so an
-engine path quietly falling back to scalar fails the build while
-ordinary wall-clock noise does not.
+engine path quietly falling back to scalar fails the build.  Because
+the engine and scalar calls alternate, a burst of host load slows both
+sides of a speedup instead of one; a load swing within a single call
+can still move a ratio.
 
 The ``--threshold-sweep`` mode measures the scalar/vectorized crossover
 of per-item estimation as a function of input size — the measurement
@@ -73,16 +75,18 @@ REQUIRED_BENCH_FIELDS = (
 )
 
 
+def _seconds(fn: Callable[[], object]) -> float:
+    """Wall-clock seconds of one call."""
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
 def _time(fn: Callable[[], object], warmup: int, repeats: int) -> List[float]:
     """Wall-clock seconds of ``repeats`` timed calls after ``warmup``."""
     for _ in range(warmup):
         fn()
-    samples = []
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - start)
-    return samples
+    return [_seconds(fn) for _ in range(max(1, repeats))]
 
 
 @contextmanager
@@ -183,13 +187,20 @@ def _bench_moments_ablation(smoke: bool):
     )
 
 
+def _sweep(module, params: Dict[str, object]):
+    """One in-process pass of a sweep experiment's spec hooks."""
+    points = module.sweep_points(params)
+    return module.finalize(params, module.sweep(params, points, 0))
+
+
 def _bench_similarity_pairs(smoke: bool):
     from repro.engine.moments import approx_node_count
     from repro.experiments import similarity
 
     ks, pairs = ((4,), 2) if smoke else ((4, 12), 6)
+    params = {"ks": list(ks), "num_pairs": pairs}
     return (
-        lambda: similarity.run(ks=ks, num_pairs=pairs),
+        lambda: _sweep(similarity, params),
         len(ks) * (pairs + 3),  # _select_pairs adds 3 adjacent pairs
         {"ks": list(ks), "num_pairs": pairs},
         # each pair dispatches on its sketch union x quadrature nodes;
@@ -199,21 +210,22 @@ def _bench_similarity_pairs(smoke: bool):
 
 
 def _bench_ratios_sweep(smoke: bool):
-    from repro.experiments import ratios
-
     from repro.engine.moments import approx_node_count
+    from repro.experiments import ratios
 
     points = 2 if smoke else 3
     exponents = (1.0,) if smoke else (1.0, 2.0)
-    grid = ratios.default_vector_grid(points)
+    params = {
+        "grid_points": points,
+        "exponents": list(exponents),
+        "include_baselines": not smoke,
+    }
     return (
-        lambda: ratios.run(
-            exponents=exponents, vectors=grid, include_baselines=not smoke
-        ),
-        len(grid) * len(exponents),
+        lambda: _sweep(ratios, params),
+        len(ratios.sweep_points(params)),
         {"grid_points": points, "exponents": list(exponents)},
-        # ratio numerators dispatch per sweep call: vectors x nodes.
-        len(grid) * approx_node_count(2),
+        # ratio numerators dispatch per sweep point: one vector x nodes.
+        approx_node_count(2),
     )
 
 
@@ -235,7 +247,12 @@ def run_suite(
     warmup: int,
     repeats: int,
 ) -> Dict[str, object]:
-    """Execute the named benches and assemble the payload."""
+    """Execute the named benches and assemble the payload.
+
+    Each repeat times one engine call and then one forced-scalar call, so
+    a burst of host load lands on both sides of a bench's speedup rather
+    than on one.
+    """
     policy = default_backend()
     benches = []
     for name in names:
@@ -243,7 +260,23 @@ def run_suite(
         built = builder(smoke)
         fn, items, params = built[:3]
         dispatch_size = built[3] if len(built) > 3 else items
-        samples = _time(fn, warmup, repeats)
+        for _ in range(warmup):
+            fn()
+        base_fn = None
+        if policy.mode != "scalar":
+            # Built under the forced policy: sessions pin theirs at
+            # construction.
+            with forced_backend("scalar"):
+                base_fn = builder(smoke)[0]
+                for _ in range(min(warmup, 1)):
+                    base_fn()
+        samples: List[float] = []
+        base: List[float] = []
+        for _ in range(max(1, repeats)):
+            samples.append(_seconds(fn))
+            if base_fn is not None:
+                with forced_backend("scalar"):
+                    base.append(_seconds(base_fn))
         entry: Dict[str, object] = {
             "name": name,
             "params": params,
@@ -255,10 +288,7 @@ def run_suite(
             # ("auto" = engine whenever a kernel covers the estimator).
             "backend_decision": policy.resolve(dispatch_size),
         }
-        if policy.mode != "scalar":
-            with forced_backend("scalar"):
-                base_fn = builder(smoke)[0]
-                base = _time(base_fn, min(warmup, 1), repeats)
+        if base_fn is not None:
             entry["baseline"] = {"backend": "scalar", "wall_s": _stats(base)}
             entry["speedup"] = float(
                 statistics.median(base) / statistics.median(samples)

@@ -77,7 +77,6 @@ __all__ = [
     "RecordStore",
     "StoredRun",
     "read_run",
-    "CostModel",
     "SketchStore",
     "StoreConfig",
     "Event",
@@ -111,7 +110,6 @@ _LAZY = {
     "RecordStore": "records",
     "StoredRun": "records",
     "read_run": "records",
-    "CostModel": "costmodel",
     "SketchStore": "repro.serving.store",
     "StoreConfig": "repro.serving.store",
     "merge_stores": "repro.serving.store",

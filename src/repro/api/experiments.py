@@ -13,13 +13,13 @@ module turns each experiment into *data* and its execution into
   :class:`EstimationPlan` naming the scheme/target/estimators through the
   PR 2 registries;
 * :class:`ExperimentRunner` — executes *batches* of specs: every
-  experiment's shards are flattened into **one global queue**, ordered
-  largest-work-first, and drained by a single ``ProcessPoolExecutor`` so
-  ``--jobs N`` saturates ``N`` workers across experiment boundaries
-  instead of draining one experiment at a time.  Completed shard records
-  stream to an append-only :class:`~repro.api.records.RecordStore`, which
-  doubles as the memo of completed runs (keyed by a content hash of the
-  spec);
+  experiment's ``min(jobs, units)`` equal shards are flattened into
+  **one global queue**, ordered largest-unit-count first, and drained by
+  a single ``ProcessPoolExecutor`` so ``--jobs N`` saturates ``N``
+  workers across experiment boundaries instead of draining one
+  experiment at a time.  Completed shard records stream to an
+  append-only :class:`~repro.api.records.RecordStore`, which doubles as
+  the memo of completed runs (keyed by a content hash of the spec);
 * :class:`ExperimentResult` — structured records plus metadata; rendering
   lives in :mod:`repro.experiments.report`, not here.
 
@@ -79,7 +79,6 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import (
     Any,
     ClassVar,
@@ -96,7 +95,6 @@ import numpy as np
 
 from ..core.seeds import spawn_children
 from .backend import BackendPolicy, BackendSpec, default_backend, set_default_backend
-from .costmodel import CostModel, ENV_COST_MODEL
 from .records import ENV_RECORDS_DIR, RecordStore, RecordWriter, STORE_VERSION
 from .registry import Registry
 
@@ -384,14 +382,8 @@ class WorkUnit:
     kind:
         The work-plan kind (``"replication"`` / ``"sweep"`` / ``"task"``).
     weight:
-        Unit count of the shard.
-    cost_s:
-        Predicted wall-clock seconds: unit count × the cost model's
-        seconds per unit (the run's own measurement, or the batch's
-        median measured weight for still-unmeasured runs, so the queue
-        never compares seconds against raw unit counts).  ``None`` when
-        the batch has no measurements at all — the queue then drains by
-        descending unit count.
+        Unit count of the shard; the global queue drains by descending
+        weight.
     """
 
     key: str
@@ -400,7 +392,6 @@ class WorkUnit:
     hi: int
     kind: str
     weight: int
-    cost_s: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -571,7 +562,7 @@ class _ShardJob:
 
 def _run_job(
     job: _ShardJob,
-) -> Tuple[List[Mapping[str, Any]], Dict[str, Any], float]:
+) -> Tuple[List[Mapping[str, Any]], Dict[str, Any]]:
     """Execute one shard in a worker process (or inline for ``jobs=1`` —
     same code path, so the two are bit-identical).
 
@@ -586,28 +577,21 @@ def _run_job(
 
     Returns
     -------
-    (records, metadata, elapsed)
-        The shard's records, the task metadata (non-empty only for plain
-        single-unit tasks that return a ``(records, metadata)`` pair),
-        and the shard's wall-clock seconds — the cost model's raw
-        measurement.
+    (records, metadata)
+        The shard's records and the task metadata (non-empty only for
+        plain single-unit tasks that return a ``(records, metadata)``
+        pair).
     """
     set_default_backend(
         BackendPolicy(mode=job.backend[0], auto_threshold=job.backend[1])
     )
     task = _resolve_hook(job.task)
-    started = time.perf_counter()
     if job.kind == "replication":
         children = spawn_children(job.seed, job.lo, job.hi)
-        records, meta = list(task(dict(job.params), children, job.lo)), {}
-    elif job.kind == "sweep":
-        records, meta = (
-            list(task(dict(job.params), list(job.points or ()), job.lo)),
-            {},
-        )
-    else:
-        records, meta = _normalise_task_output(task(dict(job.params)))
-    return records, meta, time.perf_counter() - started
+        return list(task(dict(job.params), children, job.lo)), {}
+    if job.kind == "sweep":
+        return list(task(dict(job.params), list(job.points or ()), job.lo)), {}
+    return _normalise_task_output(task(dict(job.params)))
 
 
 class _PreparedRun:
@@ -625,8 +609,6 @@ class _PreparedRun:
         self.shards: List[Tuple[int, int]] = []
         self.points: Optional[List[Any]] = None
         self.records_by_shard: Dict[int, List[Mapping[str, Any]]] = {}
-        self.shard_seconds: Dict[int, float] = {}
-        self.seconds_per_unit: Optional[float] = None
         self.task_metadata: Dict[str, Any] = {}
         self.resumed: List[int] = []
         self.writer: Optional[RecordWriter] = None
@@ -651,9 +633,10 @@ class ExperimentRunner:
     Parameters
     ----------
     jobs:
-        Worker processes.  ``1`` runs every shard inline (same code path,
-        bit-identical records); larger values drain the *global* shard
-        queue — shards of different experiments interleave freely.
+        Worker processes.  Each experiment splits into ``min(jobs,
+        units)`` equal shards.  ``1`` runs every shard inline (same code
+        path, bit-identical records); larger values drain the *global*
+        shard queue — shards of different experiments interleave freely.
     backend:
         Backend policy installed (process-wide, restored afterwards) for
         the duration of each batch; shards install it in their workers.
@@ -664,16 +647,6 @@ class ExperimentRunner:
         same digest is replayed instead of computed, and a ``.partial``
         one is continued: it keeps its recorded shard layout and skips
         every sealed shard.
-    cost_model:
-        Measured per-unit cost weights for shard sizing and queue order
-        (see :mod:`repro.api.costmodel`).  ``None`` consults the
-        ``REPRO_COST_MODEL`` environment variable and, when that is unset
-        too, falls back to unit-count scheduling; ``True`` stores the
-        model as ``costmodel.json`` in the records directory when one is
-        configured, in memory otherwise;
-        ``False`` disables it outright; a path or a ready
-        :class:`~repro.api.costmodel.CostModel` is used as given.  The
-        model never changes the records — only how they are scheduled.
 
     Raises
     ------
@@ -686,7 +659,6 @@ class ExperimentRunner:
         jobs: int = 1,
         backend: BackendSpec = None,
         records_dir: Union[None, str, os.PathLike] = None,
-        cost_model: Union[None, bool, str, os.PathLike, CostModel] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
@@ -699,27 +671,6 @@ class ExperimentRunner:
         self._backend_mode = (
             None if backend is None else BackendPolicy.coerce(backend).mode
         )
-        self._cost_model = self._resolve_cost_model(cost_model, records_dir)
-
-    @staticmethod
-    def _resolve_cost_model(
-        spec: Union[None, bool, str, os.PathLike, CostModel],
-        records_dir: Union[None, str, os.PathLike],
-    ) -> Optional[CostModel]:
-        """Normalise the ``cost_model`` argument (see the class docstring)."""
-        from .costmodel import DEFAULT_FILENAME
-
-        if spec is None:
-            spec = os.environ.get(ENV_COST_MODEL, "").strip() or False
-        if spec is False:
-            return None
-        if isinstance(spec, CostModel):
-            return spec
-        if spec is True:
-            if records_dir is None:
-                return CostModel()
-            return CostModel(Path(records_dir) / DEFAULT_FILENAME)
-        return CostModel(spec)
 
     @property
     def jobs(self) -> int:
@@ -730,11 +681,6 @@ class ExperimentRunner:
     def records(self) -> Optional[RecordStore]:
         """The record store, or ``None`` when streaming is off."""
         return self._records
-
-    @property
-    def cost_model(self) -> Optional[CostModel]:
-        """The scheduler's cost model, or ``None`` for unit counts."""
-        return self._cost_model
 
     # ------------------------------------------------------------------
     # Public execution API
@@ -759,24 +705,6 @@ class ExperimentRunner:
         assert result is not None
         return result
 
-    def run_many(
-        self,
-        specs: Optional[Sequence[Union[str, ExperimentSpec]]] = None,
-        scale: str = "quick",
-    ) -> List[ExperimentResult]:
-        """Run several experiments (all canonical ones by default) through
-        the global scheduler and return their results in request order.
-
-        Raises
-        ------
-        Exception
-            The first failure, after the rest of the batch has completed.
-        """
-        batch = self.run_batch(specs, scale=scale)
-        if batch.failures:
-            raise batch.failures[0][1]
-        return [r for r in batch.results if r is not None]
-
     def run_batch(
         self,
         specs: Optional[Sequence[Union[str, ExperimentSpec]]] = None,
@@ -785,7 +713,7 @@ class ExperimentRunner:
         """Run a batch of experiments as one global shard schedule.
 
         Every selected experiment's shards are flattened into a single
-        queue ordered largest-work-first (ties broken by shard index then
+        queue ordered by descending unit count (ties broken by shard index then
         request position, which round-robins equal-size shards across
         experiments) and drained by one ``ProcessPoolExecutor``; completed
         shards stream to the record store the moment they finish.  A
@@ -825,7 +753,6 @@ class ExperimentRunner:
                 if run.duplicate_of is not None:
                     run.result = run.duplicate_of.result
                     run.error = run.duplicate_of.error
-            self._record_costs(active)
         finally:
             set_default_backend(previous)
         return BatchResult(
@@ -917,13 +844,7 @@ class ExperimentRunner:
                 run.kind = "task"
                 run.units = 1
             run.params = dict(params)
-            if self._cost_model is not None:
-                run.seconds_per_unit = self._cost_model.seconds_per_unit(
-                    spec.key, run.digest
-                )
-            run.shards = self._shard_bounds(
-                run.units, seconds_per_unit=run.seconds_per_unit
-            )
+            run.shards = self._shard_bounds(run.units)
             if self._records is not None:
                 run.writer = self._records.begin(
                     spec.key,
@@ -958,35 +879,15 @@ class ExperimentRunner:
     ) -> List[Tuple[WorkUnit, _PreparedRun]]:
         """The global largest-work-first shard queue for ``active`` runs.
 
-        Sorted by descending predicted cost (measured seconds when the
-        cost model knows the experiment, unit counts otherwise), then
-        shard index, then request position — so equal-cost shards
-        round-robin across experiments and every worker stays busy across
-        experiment boundaries.
-
-        A partially measured batch never compares seconds against raw
-        unit counts: unmeasured runs borrow the median measured
-        seconds-per-unit, so the whole queue sorts in one consistent
-        unit.  Only when *no* run is measured does the order fall back to
-        unit counts outright.
+        Sorted by descending unit count, then shard index, then request
+        position — so equal-size shards round-robin across experiments
+        and every worker stays busy across experiment boundaries.
         """
-        measured = sorted(
-            r.seconds_per_unit for r in active if r.seconds_per_unit
-        )
-        fallback_spu = (
-            measured[len(measured) // 2] if measured else None
-        )
         entries: List[Tuple[WorkUnit, _PreparedRun]] = []
         for run in active:
             assert run.spec is not None
-            spu = (
-                run.seconds_per_unit
-                if run.seconds_per_unit is not None
-                else fallback_spu
-            )
             for shard in run.pending:
                 lo, hi = run.shards[shard]
-                cost = None if spu is None else (hi - lo) * spu
                 entries.append(
                     (
                         WorkUnit(
@@ -996,46 +897,12 @@ class ExperimentRunner:
                             hi=hi,
                             kind=run.kind,
                             weight=hi - lo,
-                            cost_s=cost,
                         ),
                         run,
                     )
                 )
-        entries.sort(
-            key=lambda e: (
-                -(e[0].cost_s if e[0].cost_s is not None else float(e[0].weight)),
-                e[0].shard,
-                e[1].position,
-            )
-        )
+        entries.sort(key=lambda e: (-e[0].weight, e[0].shard, e[1].position))
         return entries
-
-    def _record_costs(self, active: Sequence[_PreparedRun]) -> None:
-        """Feed this batch's shard timings into the cost model and persist.
-
-        Only fully executed runs count — a continued run's carried shards
-        were never timed here, and a failed run's timings are partial —
-        and each digest is measured once (the model ignores repeats).
-        """
-        if self._cost_model is None:
-            return
-        for run in active:
-            if run.error is not None or run.spec is None:
-                continue
-            if len(run.shard_seconds) < len(run.shards):
-                continue
-            self._cost_model.observe(
-                run.spec.key,
-                run.digest,
-                run.units,
-                sum(run.shard_seconds.values()),
-            )
-        try:
-            self._cost_model.save()
-        except OSError:  # pragma: no cover - unwritable model path
-            # The model is a scheduling hint; failing to persist it must
-            # never fail a batch that computed its records successfully.
-            pass
 
     def _job_for(
         self, run: _PreparedRun, unit: WorkUnit, backend: Tuple[str, int]
@@ -1093,13 +960,11 @@ class ExperimentRunner:
                 if run.error is not None:
                     continue
                 try:
-                    records, meta, elapsed = _run_job(
-                        self._job_for(run, unit, backend)
-                    )
+                    records, meta = _run_job(self._job_for(run, unit, backend))
                 except Exception as exc:  # noqa: BLE001 - isolate runs
                     run.error = exc
                     continue
-                self._absorb(run, unit.shard, records, meta, elapsed)
+                self._absorb(run, unit.shard, records, meta)
             return
         with ProcessPoolExecutor(max_workers=self._jobs) as pool:
             futures = {
@@ -1109,11 +974,11 @@ class ExperimentRunner:
             for future in as_completed(futures):
                 unit, run = futures[future]
                 try:
-                    records, meta, elapsed = future.result()
+                    records, meta = future.result()
                 except Exception as exc:  # noqa: BLE001 - isolate runs
                     run.error = exc
                     continue
-                self._absorb(run, unit.shard, records, meta, elapsed)
+                self._absorb(run, unit.shard, records, meta)
 
     def _absorb(
         self,
@@ -1121,11 +986,9 @@ class ExperimentRunner:
         shard: int,
         records: Sequence[Mapping[str, Any]],
         meta: Mapping[str, Any],
-        elapsed: float = 0.0,
     ) -> None:
         """Bank one completed shard and stream it to the record store."""
         run.records_by_shard[shard] = list(records)
-        run.shard_seconds[shard] = float(elapsed)
         run.finished_at = time.perf_counter()
         if meta:
             run.task_metadata.update(meta)
@@ -1189,11 +1052,6 @@ class ExperimentRunner:
             backend=policy.mode,
             elapsed_s=round(finished - started, 6),
         )
-        if self._cost_model is not None:
-            metadata["cost"] = {
-                "predicted_seconds_per_unit": run.seconds_per_unit,
-                "measured_s": round(sum(run.shard_seconds.values()), 6),
-            }
         if run.writer is not None:
             metadata["records"] = {
                 "path": str(run.writer.final_path),
@@ -1211,39 +1069,12 @@ class ExperimentRunner:
             run.writer.finalize(result.to_dict())
         run.result = result
 
-    #: Smallest worthwhile shard duration: below this, process and
-    #: pickling overhead dominates the shard's own work.
-    MIN_SHARD_SECONDS: ClassVar[float] = 0.2
-
-    #: How many shards per worker the cost model aims for — enough slack
-    #: for the pool to rebalance around mispredictions and stragglers.
-    OVERPARTITION: ClassVar[int] = 4
-
-    def _shard_bounds(
-        self, units: int, seconds_per_unit: Optional[float] = None
-    ) -> List[Tuple[int, int]]:
-        """Split ``units`` into contiguous shards.
-
-        Without a cost weight, the legacy unit-count rule applies: at most
-        ``jobs`` equal shards.  With a measured ``seconds_per_unit`` the
-        shard count targets a *duration* — the run's predicted seconds
-        divided by a target shard length of
-        ``max(MIN_SHARD_SECONDS, predicted / (OVERPARTITION * jobs))`` —
-        so cheap experiments collapse to one shard (no pointless fan-out)
-        and expensive ones split finely enough for the global queue to
-        load-balance.  The boundaries never affect the records (units are
+    def _shard_bounds(self, units: int) -> List[Tuple[int, int]]:
+        """Split ``units`` into ``min(jobs, units)`` contiguous, equal
+        shards.  The boundaries never affect the records (units are
         seed-addressable), only the schedule.
         """
-        if seconds_per_unit is not None and seconds_per_unit > 0:
-            predicted = units * seconds_per_unit
-            target = max(
-                self.MIN_SHARD_SECONDS,
-                predicted / (self.OVERPARTITION * self._jobs),
-            )
-            shards = int(np.ceil(predicted / target))
-            shards = max(1, min(units, shards))
-        else:
-            shards = max(1, min(self._jobs, units))
+        shards = max(1, min(self._jobs, units))
         edges = np.linspace(0, units, shards + 1).astype(int)
         return [
             (int(lo), int(hi))

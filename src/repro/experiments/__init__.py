@@ -34,16 +34,15 @@ The command line is ``python -m repro.experiments.run_all`` with flags
 * ``--records-dir DIR`` — stream records to DIR, replay finished runs
   and continue interrupted ones (also via the
   ``REPRO_EXPERIMENT_RECORDS`` environment variable);
-* ``--cost-model PATH`` — measured per-experiment weights for shard
-  sizing and queue order;
 * ``--backend scalar|vectorized|auto`` — process-wide backend policy;
 * ``--format text|json`` — rendered report or structured records.
 
 Each module exposes the spec's task hooks (``compute``, or
 ``sweep_points``/``sweep``/``finalize`` and ``replicate``/``finalize``
-for sharded specs) and, for interactive use, ``run(...)`` returning
-structured rows; the engine speedup gate ``benchmarks/run_bench.py`` and
-the tests call the same entry points.
+for sharded specs).  The sweep experiments (``ratios``, ``similarity``)
+have no other entry point; the rest also keep ``run(...)`` returning
+structured rows for interactive use.  The engine speedup gate
+``benchmarks/run_bench.py`` and the tests call the same entry points.
 """
 
 from . import (

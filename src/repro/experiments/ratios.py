@@ -12,8 +12,7 @@ and reports the supremum per estimator and exponent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from ..analysis.competitiveness import (
     RatioReport,
     expected_squares,
     minimal_expected_square,
-    supremum_ratio,
 )
 from ..core.functions import OneSidedRange
 from ..core.schemes import pps_scheme
@@ -31,31 +29,11 @@ from ..estimators.lstar import LStarOneSidedRangePPS
 from ..estimators.ustar import UStarOneSidedRangePPS
 
 __all__ = [
-    "SweepResult",
     "default_vector_grid",
-    "run",
     "sweep_points",
     "sweep",
     "finalize",
 ]
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """Ratio sweep of one estimator at one exponent."""
-
-    estimator: str
-    p: float
-    reports: Tuple[RatioReport, ...]
-
-    @property
-    def supremum(self) -> float:
-        return supremum_ratio(self.reports)
-
-    @property
-    def worst_vector(self) -> Tuple[float, ...]:
-        worst = max(self.reports, key=lambda r: r.ratio)
-        return worst.vector
 
 
 def default_vector_grid(points: int = 7) -> List[Tuple[float, float]]:
@@ -70,44 +48,6 @@ def default_vector_grid(points: int = 7) -> List[Tuple[float, float]]:
         for fraction in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9):
             vectors.append((float(v1), float(v1 * fraction)))
     return vectors
-
-
-def run(
-    exponents: Sequence[float] = (1.0, 2.0),
-    vectors: Sequence[Tuple[float, float]] = None,
-    include_baselines: bool = True,
-    backend=None,
-) -> List[SweepResult]:
-    """Run the ratio sweep for every exponent and estimator.
-
-    ``backend`` governs whether the ratio numerators batch through the
-    engine quadrature (default: the process-wide policy).
-    """
-    scheme = pps_scheme([1.0, 1.0])
-    if vectors is None:
-        vectors = default_vector_grid()
-    vectors = [tuple(float(x) for x in vector) for vector in vectors]
-    results: List[SweepResult] = []
-    for p in exponents:
-        target = OneSidedRange(p=p)
-        # One v-optimal hull per vector, shared by the whole panel.
-        denominators = {
-            vector: minimal_expected_square(scheme, target, vector, grid=4096)
-            for vector in vectors
-        }
-        for estimator in _estimators_for(p, include_baselines):
-            usable = [v for v in vectors if _applies(estimator, v)]
-            numerators = expected_squares(
-                estimator, scheme, target, usable, backend=backend
-            )
-            reports = tuple(
-                RatioReport(estimator.name, v, numerator, denominators[v])
-                for v, numerator in zip(usable, numerators)
-            )
-            results.append(
-                SweepResult(estimator=estimator.name, p=p, reports=reports)
-            )
-    return results
 
 
 def _estimators_for(p: float, include_baselines: bool) -> List[Estimator]:

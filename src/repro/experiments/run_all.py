@@ -17,17 +17,12 @@ Usage::
     python -m repro.experiments.run_all --only E6 E7
     python -m repro.experiments.run_all --backend vectorized
     python -m repro.experiments.run_all --records-dir .repro-records
-    python -m repro.experiments.run_all --cost-model .repro-cost.json
     python -m repro.experiments.run_all --format json > results.json
 
-``--jobs`` sets the worker count for the global shard queue — shards of
-*different* experiments run concurrently, and records are bit-identical
-for any value.  ``--cost-model`` points at the measured per-experiment
-cost weights (see :mod:`repro.api.costmodel`): the first run measures
-each experiment's seconds-per-unit and stores them keyed by the spec
-digest; later runs size and order shards by predicted seconds instead of
-unit counts.  The model is a pure scheduling hint — records stay
-bit-identical with it on, off, or stale.  ``--records-dir`` streams
+``--jobs`` sets the worker count for the global shard queue: each
+experiment splits into ``min(jobs, units)`` equal shards, the queue runs
+the largest first, shards of *different* experiments run concurrently,
+and records are bit-identical for any value.  ``--records-dir`` streams
 per-replication / per-sweep-point records to append-only JSONL files (one
 per experiment run, finalized atomically).  A later pass with the same
 directory replays every finalized run, and continues an interrupted one:
@@ -73,10 +68,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="directory for the streamed record store, which "
                              "replays finished runs and continues interrupted "
                              f"ones (default: ${ENV_RECORDS_DIR}, else off)")
-    parser.add_argument("--cost-model", default=None,
-                        help="path of the measured cost-model file used to "
-                             "size and order shards by predicted seconds "
-                             "(default: $REPRO_COST_MODEL, else unit counts)")
     parser.add_argument("--backend", choices=BACKEND_MODES, default=None,
                         help="process-wide backend policy for every "
                              "estimation loop (default: auto)")
@@ -91,7 +82,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             jobs=args.jobs,
             backend=args.backend,
             records_dir=args.records_dir,
-            cost_model=args.cost_model,
         )
     except ValueError as exc:  # e.g. --jobs 0
         print(f"error: {exc}", file=sys.stderr)

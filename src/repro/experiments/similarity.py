@@ -13,8 +13,7 @@ error shrinking as the sketches grow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -28,72 +27,16 @@ from ..graphs.similarity import (
 from ..sketches.ads import build_all_ads, node_ranks
 
 __all__ = [
-    "SimilarityRow",
-    "run",
     "sweep_points",
     "sweep",
     "finalize",
 ]
 
 
-@dataclass(frozen=True)
-class SimilarityRow:
-    """Exact vs estimated similarity for one node pair and sketch size."""
-
-    pair: Tuple[object, object]
-    k: int
-    exact: float
-    estimated: float
-
-    @property
-    def absolute_error(self) -> float:
-        return abs(self.exact - self.estimated)
-
-
 def default_graph(seed: int = 11, n: int = 120) -> Graph:
     """The synthetic stand-in for the paper's social graphs."""
     return small_world_graph(n, k=6, rewire_probability=0.1,
                              rng=np.random.default_rng(seed))
-
-
-def run(
-    graph: Optional[Graph] = None,
-    ks: Sequence[int] = (4, 8, 16, 32),
-    num_pairs: int = 12,
-    alpha: Optional[Callable[[float], float]] = None,
-    seed: int = 3,
-    backend=None,
-) -> List[SimilarityRow]:
-    """Estimate similarities for random node pairs at several sketch sizes.
-
-    ``backend`` governs the per-pair estimation path (the closed-form
-    vectorized L* under the HIP step schemes vs the scalar per-outcome
-    loop); the default defers to the process-wide policy.
-    """
-    graph = graph if graph is not None else default_graph()
-    alpha = alpha if alpha is not None else exponential_decay(2.0)
-    pairs = _select_pairs(graph, num_pairs, seed)
-
-    exact_cache: Dict[Tuple[object, object], float] = {}
-    rows: List[SimilarityRow] = []
-    ranks = node_ranks(graph, salt="similarity-experiment")
-    for k in ks:
-        sketches = build_all_ads(graph, k=k, salt="similarity-experiment")
-        for pair in pairs:
-            if pair not in exact_cache:
-                exact_cache[pair] = exact_closeness_similarity(
-                    graph, pair[0], pair[1], alpha
-                )
-            estimate = estimate_closeness_similarity(
-                sketches[pair[0]], sketches[pair[1]], ranks, alpha,
-                backend=backend,
-            )
-            rows.append(
-                SimilarityRow(
-                    pair=pair, k=k, exact=exact_cache[pair], estimated=estimate.value
-                )
-            )
-    return rows
 
 
 def _select_pairs(

@@ -121,8 +121,8 @@ ALL_SPECS = [
                      "exponents": [1.0, 2.0], "replications": 25},
         },
         replication=ReplicationPlan(seed=7, replications=8),
-        # One source of truth: the module's DEFAULT_ESTIMATION, so
-        # lp_difference.run() and the spec always agree on the pipeline.
+        # Built from the module's DEFAULT_ESTIMATION, the pipeline the
+        # replicate/finalize hooks fall back to when params carry none.
         estimation=EstimationPlan(**_E9_ESTIMATION),
         aliases=("lp_difference",),
     ),

@@ -14,17 +14,16 @@ The load-bearing guarantees:
 * the records directory is the runner's only memo: a finalized file is
   replayed, and a deleted one is a miss;
 * one failing experiment never aborts the batch;
-* the cost model changes only the schedule, never the records: runs are
-  bit-identical across ``jobs`` 1/2/4 and across model on/off/stale.
+* each experiment splits into ``min(jobs, units)`` equal shards, and the
+  schedule changes only the order of work, never the records: runs are
+  bit-identical across ``jobs`` 1/2/4.
 """
 
 import dataclasses
 import json
-import math
 
 import pytest
 
-from repro.api.costmodel import CostModel
 from repro.api.experiments import (
     ExperimentRunner,
     ExperimentSpec,
@@ -101,6 +100,26 @@ class TestGlobalSchedule:
             1 for a, b in zip(keys, keys[1:]) if a != b
         )
         assert groups > len(set(keys))
+
+    def test_records_bit_identical_across_jobs(self):
+        reference = ExperimentRunner(jobs=1).run(E9_TINY)
+        for jobs in (2, 4):
+            assert ExperimentRunner(jobs=jobs).run(E9_TINY).records == (
+                reference.records
+            )
+
+    def test_shards_are_min_of_jobs_and_units(self):
+        # E10_TINY has 5 units: 2 random pairs plus 3 adjacent ones.
+        for jobs, count in ((1, 1), (4, 4), (6, 5)):
+            batch = ExperimentRunner(jobs=jobs).run_batch([E10_TINY])
+            assert batch.ok
+            shards = batch.results[0].metadata["shards"]
+            assert len(shards) == count
+            sizes = [hi - lo for lo, hi in shards]
+            assert sum(sizes) == 5 and max(sizes) - min(sizes) <= 1
+            assert [u.weight for u in batch.schedule] == sorted(
+                sizes, reverse=True
+            )
 
     def test_batch_results_align_with_request_order(self):
         batch = ExperimentRunner(jobs=2).run_batch([E10_TINY, E9_TINY])
@@ -214,117 +233,6 @@ class TestCachePointers:
         assert "hit" not in rerun.metadata["records"]
         assert rerun.records == first.records
         assert len(list(tmp_path.glob("E10-*.jsonl"))) == 1
-
-    def test_cost_model_file_lives_in_the_records_dir(self, tmp_path):
-        runner = ExperimentRunner(records_dir=tmp_path, cost_model=True)
-        runner.run(E10_TINY)
-        assert (tmp_path / "costmodel.json").exists()
-
-
-class TestCostModel:
-    def test_records_bit_identical_across_jobs_and_model(self, tmp_path):
-        model_path = tmp_path / "costmodel.json"
-        reference = ExperimentRunner(jobs=1).run(E9_TINY)
-        # First modelled run measures; later runs predict.  Every
-        # combination must reproduce the reference records exactly.
-        for jobs in (1, 2, 4):
-            modelled = ExperimentRunner(
-                jobs=jobs, cost_model=model_path
-            ).run(E9_TINY)
-            assert modelled.records == reference.records
-            plain = ExperimentRunner(jobs=jobs).run(E9_TINY)
-            assert plain.records == reference.records
-        payload = json.loads(model_path.read_text())
-        assert payload["version"] == 1
-        assert [e["key"] for e in payload["entries"]] == ["E9"]
-        assert payload["entries"][0]["seconds_per_unit"] > 0
-
-    def test_stale_weights_only_change_the_schedule(self, tmp_path):
-        reference = ExperimentRunner(jobs=2).run(E9_TINY)
-        # A wildly wrong weight (1000 s/unit) fans out to one shard per
-        # unit; records must not care.
-        model = CostModel()
-        model.observe("E9", "bogus-digest", 1, 1000.0)
-        runner = ExperimentRunner(jobs=2, cost_model=model)
-        result = runner.run(E9_TINY)
-        assert result.records == reference.records
-        assert len(result.metadata["shards"]) == 6  # one per replication
-
-    def test_duration_targeted_sizing_reduces_fan_out(self, tmp_path):
-        model_path = tmp_path / "costmodel.json"
-        ExperimentRunner(jobs=4, cost_model=model_path).run(E10_TINY)
-        remeasured = ExperimentRunner(jobs=4, cost_model=model_path).run(
-            E10_TINY
-        )
-        plain = ExperimentRunner(jobs=4).run(E10_TINY)
-        # The unit-count rule fans the 5 units across all 4 workers; the
-        # measured weight targets MIN_SHARD_SECONDS-sized shards instead.
-        # How many that is depends on how fast this machine ran the
-        # measuring pass, so recompute the duration rule from the
-        # persisted weight rather than assuming a particular host speed.
-        assert len(plain.metadata["shards"]) == 4
-        entries = json.loads(model_path.read_text())["entries"]
-        seconds = next(e for e in entries if e["key"] == "E10")[
-            "seconds_per_unit"
-        ]
-        predicted = 5 * seconds
-        target = max(
-            ExperimentRunner.MIN_SHARD_SECONDS,
-            predicted / (ExperimentRunner.OVERPARTITION * 4),
-        )
-        expected = max(1, min(5, math.ceil(predicted / target)))
-        assert len(remeasured.metadata["shards"]) == expected
-        assert remeasured.metadata["cost"]["predicted_seconds_per_unit"] > 0
-        assert remeasured.records == plain.records
-        # A truly cheap run (milliseconds of predicted work) collapses
-        # to a single shard.
-        cheap = CostModel()
-        cheap.observe("E10", "d", 5, 0.005)
-        collapsed = ExperimentRunner(jobs=4, cost_model=cheap).run(E10_TINY)
-        assert len(collapsed.metadata["shards"]) == 1
-        assert collapsed.records == plain.records
-
-    def test_schedule_orders_by_predicted_seconds(self):
-        # Give E10 (fewer units) a far larger per-unit weight than E9:
-        # the queue must lead with E10's shards despite E9's unit count.
-        # Unknown digests fall back to the same-key weight, so seeding
-        # with placeholder digests suffices.
-        model = CostModel()
-        model.observe("E9", "d9", 6, 0.006)     # 1 ms per replication
-        model.observe("E10", "d10", 2, 2.0)     # 1 s per sweep point
-        batch = ExperimentRunner(jobs=2, cost_model=model).run_batch(
-            [E9_TINY, E10_TINY]
-        )
-        assert batch.ok
-        costed = [u for u in batch.schedule if u.cost_s is not None]
-        assert costed and costed[0].key == "E10"
-        costs = [u.cost_s for u in costed]
-        assert costs == sorted(costs, reverse=True)
-
-    def test_measured_once_per_digest(self, tmp_path):
-        model_path = tmp_path / "costmodel.json"
-        ExperimentRunner(cost_model=model_path).run(E10_TINY)
-        first = json.loads(model_path.read_text())
-        ExperimentRunner(cost_model=model_path).run(E10_TINY)
-        assert json.loads(model_path.read_text()) == first
-
-    def test_corrupt_model_file_loads_empty(self, tmp_path):
-        path = tmp_path / "costmodel.json"
-        path.write_text("{not json")
-        runner = ExperimentRunner(cost_model=path)
-        assert len(runner.cost_model) == 0
-        result = runner.run(E10_TINY)
-        assert result.records
-
-    def test_env_variable_enables_the_model(self, tmp_path, monkeypatch):
-        path = tmp_path / "from-env.json"
-        monkeypatch.setenv("REPRO_COST_MODEL", str(path))
-        runner = ExperimentRunner()
-        assert runner.cost_model is not None
-        runner.run(E10_TINY)
-        assert path.exists()
-        monkeypatch.delenv("REPRO_COST_MODEL")
-        assert ExperimentRunner().cost_model is None
 
 
 class TestRunAllCLIRecords:

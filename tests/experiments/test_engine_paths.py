@@ -2,7 +2,8 @@
 
 E7's ratio numerators, E8's dominance variances, E10's similarity pairs
 and E11's ablation moments run on the engine.  These tests pin each path
-to its scalar twin: running with ``backend="scalar"`` must reproduce the
+to its scalar twin: running with ``backend="scalar"`` (for E7 and E10,
+their spec hooks under a forced ``scalar`` policy) must reproduce the
 engine-backed records to tight tolerance, and the golden structural
 findings must be unchanged on both paths.  The dispatch tests check that
 the ``auto`` policy actually sends E7's and E10's full-scale work to the
@@ -16,6 +17,16 @@ import pytest
 from repro.api.backend import BackendPolicy, set_default_backend
 from repro.api.experiments import resolve_spec
 from repro.experiments import ablation, dominance, ratios, similarity
+
+
+def _sweep_under(module, params, mode):
+    """A sweep experiment's hook records over its whole grid, run under
+    the forced backend ``mode``."""
+    previous = set_default_backend(mode)
+    try:
+        return module.sweep(params, module.sweep_points(params), 0)
+    finally:
+        set_default_backend(previous)
 
 
 def _assert_rows_close(scalar_rows, engine_rows, rel=1e-6):
@@ -73,56 +84,50 @@ class TestAblationParity:
 
 class TestRatiosParity:
     def test_reports_match_scalar(self):
-        grid = ratios.default_vector_grid(2)
-        scalar = ratios.run(
-            exponents=(1.0,), vectors=grid, include_baselines=True,
-            backend="scalar",
-        )
-        engine = ratios.run(
-            exponents=(1.0,), vectors=grid, include_baselines=True,
-        )
+        params = {"grid_points": 2, "exponents": [1.0],
+                  "include_baselines": True}
+        scalar = _sweep_under(ratios, params, "scalar")
+        engine = _sweep_under(ratios, params, "vectorized")
+        assert len(scalar) == len(engine)
         for a, b in zip(scalar, engine):
-            assert (a.estimator, a.p) == (b.estimator, b.p)
-            for ra, rb in zip(a.reports, b.reports):
-                assert rb.expected_square == pytest.approx(
-                    ra.expected_square, rel=1e-6
-                )
-                # The hull denominator is policy-independent.
-                assert rb.minimal_expected_square == ra.minimal_expected_square
+            assert (a["estimator"], a["p"], a["v1"], a["v2"]) == (
+                b["estimator"], b["p"], b["v1"], b["v2"],
+            )
+            # The hull denominator is policy-independent, so the ratios
+            # carry the numerators' tolerance.
+            assert b["ratio"] == pytest.approx(a["ratio"], rel=1e-6)
+        rows, _ = ratios.finalize(params, engine)
+        sup = {row["estimator"]: row["sup_ratio"] for row in rows}
         # U* has no small universal guarantee; L* stays within 4.
-        lstar = next(r for r in engine if r.estimator.startswith("L*"))
-        ustar = next(r for r in engine if r.estimator.startswith("U*"))
-        assert ustar.supremum > lstar.supremum
-        assert lstar.supremum <= 4.0
+        lstar = next(v for k, v in sup.items() if k.startswith("L*"))
+        ustar = next(v for k, v in sup.items() if k.startswith("U*"))
+        assert ustar > lstar
+        assert lstar <= 4.0
 
-    def test_golden_constants_unchanged(self):
-        results = ratios.run(
-            exponents=(1.0, 2.0), vectors=ratios.default_vector_grid(3),
-            include_baselines=False,
-        )
-        by_p = {r.p: r.supremum for r in results}
-        assert by_p[1.0] == pytest.approx(2.0, abs=0.15)
-        assert by_p[2.0] == pytest.approx(2.5, abs=0.3)
+
+def _assert_similarity_close(scalar, engine):
+    assert len(scalar) == len(engine)
+    for a, b in zip(scalar, engine):
+        assert (a["pair"], a["k"]) == (b["pair"], b["k"])
+        assert a["exact"] == b["exact"]
+        assert b["estimated"] == pytest.approx(a["estimated"], rel=1e-9)
 
 
 class TestSimilarityParity:
     def test_rows_match_scalar(self):
-        kwargs = dict(ks=(4, 8), num_pairs=3, seed=2)
-        scalar = similarity.run(backend="scalar", **kwargs)
-        engine = similarity.run(backend="vectorized", **kwargs)
-        assert len(scalar) == len(engine)
-        for a, b in zip(scalar, engine):
-            assert (a.pair, a.k) == (b.pair, b.k)
-            assert a.exact == b.exact
-            assert b.estimated == pytest.approx(a.estimated, rel=1e-9)
+        params = {"ks": [4, 8], "num_pairs": 3, "seed": 2}
+        _assert_similarity_close(
+            _sweep_under(similarity, params, "scalar"),
+            _sweep_under(similarity, params, "vectorized"),
+        )
 
     @pytest.mark.slow
     def test_default_scale_parity(self):
-        kwargs = dict(ks=(4, 8, 16, 32), num_pairs=12)
-        scalar = similarity.run(backend="scalar", **kwargs)
-        engine = similarity.run(backend="vectorized", **kwargs)
-        for a, b in zip(scalar, engine):
-            assert b.estimated == pytest.approx(a.estimated, rel=1e-9)
+        params = {"ks": [4, 8, 16, 32], "num_pairs": 12}
+        _assert_similarity_close(
+            _sweep_under(similarity, params, "scalar"),
+            _sweep_under(similarity, params, "vectorized"),
+        )
 
 
 @pytest.fixture

@@ -3,7 +3,6 @@ paper's qualitative findings at reduced scale, and every experiment's
 report — :func:`~repro.experiments.report.render_result` of its runner
 result — carries the facts it is read for."""
 
-import numpy as np
 import pytest
 
 from repro.api.experiments import ExperimentRunner, resolve_spec
@@ -25,6 +24,13 @@ from repro.experiments import (
 
 def _report(key: str, scale: str = "smoke") -> str:
     return render_result(ExperimentRunner().run(key, scale=scale))
+
+
+def _sweep(module, params):
+    """A sweep experiment's finalized output over its whole grid, in
+    process."""
+    points = module.sweep_points(params)
+    return module.finalize(params, module.sweep(params, points, 0))
 
 
 class TestExample1:
@@ -126,12 +132,9 @@ class TestTheorem41:
 
 class TestRatios:
     def test_lstar_ratios_match_paper_constants(self):
-        results = ratios.run(
-            exponents=(1.0, 2.0),
-            vectors=ratios.default_vector_grid(3),
-            include_baselines=False,
-        )
-        by_p = {r.p: r.supremum for r in results}
+        rows, _ = _sweep(ratios, {"grid_points": 3, "exponents": [1.0, 2.0],
+                                  "include_baselines": False})
+        by_p = {row["p"]: row["sup_ratio"] for row in rows}
         # The paper quotes roughly 2 and 2.5 for the two exponents.
         assert by_p[1.0] == pytest.approx(2.0, abs=0.15)
         assert by_p[2.0] == pytest.approx(2.5, abs=0.3)
@@ -201,11 +204,9 @@ class TestLpDifference:
 @pytest.mark.slow
 class TestSimilarityExperiment:
     def test_error_shrinks_with_k(self):
-        rows = similarity.run(ks=(4, 24), num_pairs=6, seed=1)
-        errors = {
-            k: np.mean([r.absolute_error for r in rows if r.k == k])
-            for k in (4, 24)
-        }
+        _, metadata = _sweep(similarity, {"ks": [4, 24], "num_pairs": 6,
+                                          "seed": 1})
+        errors = {int(k): e for k, e in metadata["mean_error_by_k"].items()}
         assert errors[24] < errors[4]
         assert errors[24] < 0.15
 

@@ -50,10 +50,11 @@ class TestRunAll:
         report = render_result(ExperimentRunner().run(identifier, scale="quick"))
         assert identifier in report or "Example" in report or "Theorem" in report
 
-    def test_run_many_selected(self):
-        results = ExperimentRunner().run_many(["E1", "E6"], scale="quick")
-        assert [r.key for r in results] == ["E1", "E6"]
-        assert all(render_result(r) for r in results)
+    def test_run_batch_selected(self):
+        batch = ExperimentRunner().run_batch(["E1", "E6"], scale="quick")
+        assert batch.ok
+        assert [r.key for r in batch.results] == ["E1", "E6"]
+        assert all(render_result(r) for r in batch.results)
 
     @pytest.mark.slow
     def test_cli_main_quick_subset(self, capsys):
