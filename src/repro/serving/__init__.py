@@ -8,9 +8,10 @@ distinct-count queries) use them:
 
 :mod:`repro.serving.events`
     The append-only event feed — ``(key, weight, timestamp, group)``
-    records — with a JSONL wire form, a deterministic synthetic feed
-    generator, and the key-routed sharding helper that makes distributed
-    ingestion bit-reproducible.
+    records — with a JSONL wire form, the columnar
+    :class:`~repro.serving.events.EventBatch` every ingest batch travels
+    as, a deterministic synthetic feed generator, and the key-routed
+    sharding helper that makes distributed ingestion bit-reproducible.
 
 :mod:`repro.serving.store`
     :class:`~repro.serving.store.SketchStore`: streaming ingestion into
@@ -121,7 +122,14 @@ distinct-count queries) use them:
 from .admission import AdmissionController
 from .batcher import QueryBatcher, QueryRequest
 from .chaos import ChaosProxy, ChaosSchedule, crash_server, tear_wal_tail
-from .events import Event, read_events, shard_events, synthetic_feed, write_events
+from .events import (
+    Event,
+    EventBatch,
+    read_events,
+    shard_events,
+    synthetic_feed,
+    write_events,
+)
 from .ingest import ParallelIngestor
 from .metrics import MetricsHTTPShim, MetricsRegistry
 from .promotion import PromotableReplica, promote_follower
@@ -161,6 +169,7 @@ __all__ = [
     "ChaosSchedule",
     "ConnectionLost",
     "Event",
+    "EventBatch",
     "JSONLinesServer",
     "MetricsHTTPShim",
     "MetricsRegistry",

@@ -68,7 +68,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..api.backend import BACKEND_MODES
 from ..sketches.bottomk import RankMethod
-from .events import read_events, synthetic_feed, write_events
+from .events import EventBatch, read_events, synthetic_feed, write_events
 from .metrics import MetricsHTTPShim
 from .promotion import PromotableReplica
 from .replication import ReplicaFollower
@@ -446,7 +446,9 @@ async def run_load(
             # hintless shed escalates the capped exponential schedule.
             shed_timer = RetryPolicy(base=0.01, cap=2.0).timer()
             for start_index in range(0, len(feed), ingest_batch):
-                batch = feed[start_index : start_index + ingest_batch]
+                batch = EventBatch.from_events(
+                    feed[start_index : start_index + ingest_batch]
+                )
                 while True:
                     try:
                         response = await probe.ingest(batch)

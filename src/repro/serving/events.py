@@ -5,6 +5,13 @@ An event is the serving layer's unit of input: item ``key`` gained
 one per user or per metric).  Feeds are JSON-lines files — one event per
 line — which keeps them appendable, greppable, and streamable.
 
+Inside the serving layer a batch of events travels as one
+:class:`EventBatch`: four parallel columns (``keys``, ``weights``,
+``timestamps``, ``groups``) that encode as one small JSON object.  The
+ingest frame, the router's per-shard sub-batches, the write-ahead-log
+line and the replication segment all carry that same object, so a batch
+is decoded once at the edge and never re-encoded event by event.
+
 :func:`shard_events` routes events to shards *by key*, not round-robin.
 That choice is what makes distributed ingestion bit-reproducible: all of
 a key's weight accumulates on a single shard in arrival order, so the
@@ -20,7 +27,17 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Sequence,
+    Union,
+)
 
 import numpy as np
 
@@ -28,6 +45,7 @@ from ..core.seeds import hash_to_unit
 
 __all__ = [
     "Event",
+    "EventBatch",
     "read_events",
     "shard_events",
     "synthetic_feed",
@@ -65,6 +83,120 @@ class Event:
             weight=float(payload["weight"]),
             timestamp=float(payload["timestamp"]),
             group=str(payload.get("group", "default")),
+        )
+
+
+def _column(
+    columns: Mapping[str, Any], name: str, cast: Callable[[Any], Any]
+) -> List[Any]:
+    values = columns[name]
+    if not isinstance(values, list):
+        raise ValueError(f"column {name!r} must be a list")
+    return [cast(value) for value in values]
+
+
+@dataclass
+class EventBatch:
+    """A batch of events as parallel columns: row ``i`` is one event.
+
+    The serving layer's one encoding of an ingest batch.
+    :meth:`to_columns` is its JSON form — ``{"keys": [...], "weights":
+    [...], "timestamps": [...], "groups": [...]}`` — and
+    :meth:`from_columns` reads it back with the same conversions as
+    :meth:`Event.from_dict`, so a batch survives the round trip ``==``
+    (JSON floats round-trip exactly).  Iterating a batch yields its
+    :class:`Event` objects in row order.
+    """
+
+    keys: List[str]
+    weights: List[float]
+    timestamps: List[float]
+    groups: List[str]
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __iter__(self) -> Iterator[Event]:
+        return map(
+            Event, self.keys, self.weights, self.timestamps, self.groups
+        )
+
+    def to_columns(self) -> Dict[str, List[Any]]:
+        """The batch's JSON payload (the column lists, not copies)."""
+        return {
+            "keys": self.keys,
+            "weights": self.weights,
+            "timestamps": self.timestamps,
+            "groups": self.groups,
+        }
+
+    @classmethod
+    def from_columns(cls, columns: Mapping[str, Any]) -> "EventBatch":
+        """Rebuild a batch from :meth:`to_columns` output.
+
+        Raises ``ValueError`` when a column is not a list or the
+        columns differ in length.
+        """
+        batch = cls(
+            _column(columns, "keys", str),
+            _column(columns, "weights", float),
+            _column(columns, "timestamps", float),
+            _column(columns, "groups", str),
+        )
+        if not (
+            len(batch.keys)
+            == len(batch.weights)
+            == len(batch.timestamps)
+            == len(batch.groups)
+        ):
+            raise ValueError("event columns differ in length")
+        return batch
+
+    @classmethod
+    def from_dicts(cls, payloads: Iterable[Mapping[str, Any]]) -> "EventBatch":
+        """Columns of per-event :meth:`Event.to_dict` payloads.
+
+        Converts exactly as :meth:`Event.from_dict` does, without
+        building the intermediate events.
+        """
+        batch = cls([], [], [], [])
+        for payload in payloads:
+            batch.keys.append(str(payload["key"]))
+            batch.weights.append(float(payload["weight"]))
+            batch.timestamps.append(float(payload["timestamp"]))
+            batch.groups.append(str(payload.get("group", "default")))
+        return batch
+
+    @classmethod
+    def from_events(cls, events: Iterable[Event]) -> "EventBatch":
+        """Columns of ``events``, in order (a batch is returned as is)."""
+        if isinstance(events, EventBatch):
+            return events
+        batch = cls([], [], [], [])
+        for event in events:
+            batch.keys.append(event.key)
+            batch.weights.append(event.weight)
+            batch.timestamps.append(event.timestamp)
+            batch.groups.append(event.group)
+        return batch
+
+    @classmethod
+    def from_frame(cls, payload: Mapping[str, Any]) -> "EventBatch":
+        """The batch of an ``ingest`` request: its ``columns`` object, or
+        else its per-event ``events`` list (the older frame)."""
+        columns = payload.get("columns")
+        if columns is not None:
+            return cls.from_columns(columns)
+        return cls.from_dicts(payload.get("events", []))
+
+    def take(self, rows: Iterable[int]) -> "EventBatch":
+        """The sub-batch of ``rows``, in the order given."""
+        rows = list(rows)
+        return EventBatch(
+            [self.keys[row] for row in rows],
+            [self.weights[row] for row in rows],
+            [self.timestamps[row] for row in rows],
+            [self.groups[row] for row in rows],
         )
 
 
@@ -112,9 +244,16 @@ def read_events(path: Union[str, os.PathLike]) -> Iterator[Event]:
             yield Event.from_dict(payload)
 
 
+def _shard_of(group: str, key: str, num_shards: int, salt: str) -> int:
+    route = hash_to_unit(f"{group}\x00{key}", salt)
+    return min(num_shards - 1, int(route * num_shards))
+
+
 def shard_events(
-    events: Iterable[Event], num_shards: int, salt: str = ROUTING_SALT
-) -> List[List[Event]]:
+    events: Union[EventBatch, Iterable[Event]],
+    num_shards: int,
+    salt: str = ROUTING_SALT,
+) -> Union[List[EventBatch], List[List[Event]]]:
     """Split a feed into key-routed shards.
 
     Every event of a given ``(group, key)`` pair lands on the same shard
@@ -126,7 +265,8 @@ def shard_events(
     Parameters
     ----------
     events:
-        The feed, in arrival order.
+        The feed, in arrival order: an :class:`EventBatch` (split by
+        column into sub-batches) or an iterable of events.
     num_shards:
         Number of shards (positive).
     salt:
@@ -135,16 +275,22 @@ def shard_events(
 
     Returns
     -------
-    list of list of Event
-        ``num_shards`` sub-feeds, order-preserving within each.
+    list of EventBatch, or list of list of Event
+        ``num_shards`` sub-feeds of the input's kind, order-preserving
+        within each.
     """
     if num_shards <= 0:
         raise ValueError("num_shards must be positive")
+    if isinstance(events, EventBatch):
+        rows: List[List[int]] = [[] for _ in range(num_shards)]
+        for row, (group, key) in enumerate(zip(events.groups, events.keys)):
+            rows[_shard_of(group, key, num_shards, salt)].append(row)
+        return [events.take(shard) for shard in rows]
     shards: List[List[Event]] = [[] for _ in range(num_shards)]
     for event in events:
-        route = hash_to_unit(f"{event.group}\x00{event.key}", salt)
-        index = min(num_shards - 1, int(route * num_shards))
-        shards[index].append(event)
+        shards[_shard_of(event.group, event.key, num_shards, salt)].append(
+            event
+        )
     return shards
 
 

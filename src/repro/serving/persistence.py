@@ -3,7 +3,7 @@
 A directory-backed store lays out its state as::
 
     <root>/config.json            immutable sketch parameters
-    <root>/events.jsonl           write-ahead event log (torn-tolerant)
+    <root>/events.jsonl           write-ahead batch log (torn-tolerant)
     <root>/snapshots/             a RecordStore of ledger snapshots
         sketchstore-<watermark>.jsonl           finalized snapshots
         sketchstore-<watermark>.jsonl.partial   an interrupted snapshot
@@ -19,12 +19,13 @@ which recovery ignores.
 
 Recovery (:func:`open_store`) is the classic two-step: load the latest
 *finalized* snapshot, then replay write-ahead-log events with sequence
-numbers past its watermark.  The log is append-only with per-batch
-``fsync``; its reader stops at the first malformed line, so a torn tail
-costs at most the events never acknowledged to the writer.  Together
-these give the invariant the fault-injection suite asserts: after a
-crash at any byte boundary, recovery yields a consistent ledger with no
-duplicate and no acknowledged-but-lost events.
+numbers past its watermark.  The log is append-only, one line and one
+``fsync`` per ingest batch; its reader stops at the first torn line, so
+a torn tail costs at most the one batch never acknowledged to the
+writer.  Together these give the invariant the fault-injection suite
+asserts: after a crash at any byte boundary, recovery yields a
+consistent ledger with no duplicate and no acknowledged-but-lost
+events.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Type
+from typing import Any, Dict, Iterator, Optional, Tuple, Type
 
 from ..api.records import RecordStore
-from .events import Event
+from .events import Event, EventBatch
 
 __all__ = [
     "EventLog",
@@ -55,13 +56,21 @@ DIGEST_WIDTH = 12
 
 
 class EventLog:
-    """Append-only write-ahead log of ``(seq, event)`` lines.
+    """Append-only write-ahead log, one line per ingest batch.
 
-    Each line is one JSON object ``{"seq": n, ...event fields}``.
-    Appends are flushed and fsynced per batch, so an acknowledged batch
-    survives a crash; the reader tolerates a torn final line by stopping
-    at the first malformed line (the same convention as
-    :func:`repro.api.records.read_run`).
+    Each line is one JSON object ``{"seq": first, "keys": [...],
+    "weights": [...], "timestamps": [...], "groups": [...]}``: the
+    batch's :meth:`~repro.serving.events.EventBatch.to_columns` payload
+    plus the sequence number of its first event (row ``i`` is event
+    ``first + i``).  Logs written before batch lines existed hold one
+    event per line, ``{"seq": n, "key": ..., "weight": ...,
+    "timestamp": ..., "group": ...}``; the reader accepts both shapes,
+    in any mixture.  Each append is flushed and fsynced, so an
+    acknowledged batch survives a crash.  The reader stops at the first
+    line that is malformed or lacks its newline — a torn tail from a
+    crash mid-append — which drops only the torn line's own,
+    unacknowledged batch; the first append after opening cuts such a
+    tail off, so later batches are not written behind it.
     """
 
     def __init__(self, path: Path) -> None:
@@ -73,59 +82,92 @@ class EventLog:
         """The log file (created on first append)."""
         return self._path
 
-    def append_batch(self, entries: Iterable[Tuple[int, Event]]) -> None:
-        """Append ``(seq, event)`` lines, then flush and fsync once."""
+    def append_batch(self, first_seq: int, batch: EventBatch) -> None:
+        """Append ``batch`` as one line starting at ``first_seq``, then
+        flush and fsync once.  An empty batch writes nothing."""
+        if not len(batch):
+            return
         if self._handle is None:
-            self._path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = open(self._path, "a", encoding="utf-8")
-        wrote = False
-        for seq, event in entries:
-            payload = {"seq": int(seq), **event.to_dict()}
-            self._handle.write(json.dumps(payload, sort_keys=True) + "\n")
-            wrote = True
-        if wrote:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
+            self._open()
+        self._handle.write(_batch_line(first_seq, batch))
+        self._handle.flush()
+        os.fsync(self._handle.fileno())
 
-    def replay(self, after_seq: int = 0) -> Iterator[Tuple[int, Event]]:
-        """Yield logged ``(seq, event)`` pairs with ``seq > after_seq``.
+    def _open(self) -> None:
+        """Open for appending, first cutting off any torn tail."""
+        self._path.parent.mkdir(parents=True, exist_ok=True)
+        intact = 0
+        for intact, _seq, _batch in self._lines():
+            pass
+        if self._path.exists() and self._path.stat().st_size > intact:
+            os.truncate(self._path, intact)
+        self._handle = open(self._path, "a", encoding="utf-8")
 
-        Parsing stops silently at the first malformed line — a torn tail
-        from a crash mid-append — so everything yielded was durably
-        acknowledged.
-        """
+    def _lines(self) -> Iterator[Tuple[int, int, EventBatch]]:
+        """``(end, first_seq, batch)`` per intact line, in order, where
+        ``end`` is the byte offset just past the line's newline; stops
+        at the first malformed or unterminated line."""
         try:
-            text = self._path.read_text()
+            data = self._path.read_bytes()
         except OSError:
             return
-        for line in text.splitlines():
+        start = 0
+        while True:
+            end = data.find(b"\n", start) + 1
+            if not end:
+                return
+            line, start = data[start:end], end
             if not line.strip():
                 continue
             try:
                 payload = json.loads(line)
                 seq = int(payload["seq"])
-                event = Event.from_dict(payload)
+                if "keys" in payload:
+                    batch = EventBatch.from_columns(payload)
+                else:
+                    batch = EventBatch.from_dicts([payload])
             except (ValueError, KeyError, TypeError):
-                break
-            if seq > after_seq:
-                yield seq, event
+                return
+            yield end, seq, batch
+
+    def batches(self, after_seq: int = 0) -> Iterator[Tuple[int, EventBatch]]:
+        """Yield ``(first_seq, batch)`` for the logged events past
+        ``after_seq``, one per line.
+
+        A batch that straddles ``after_seq`` yields only its tail; a
+        per-event line yields a one-event batch.  Parsing stops silently
+        at a torn tail, so everything yielded was durably acknowledged.
+        """
+        for _end, seq, batch in self._lines():
+            skip = after_seq + 1 - seq
+            if skip >= len(batch):
+                continue
+            if skip > 0:
+                batch = batch.take(range(skip, len(batch)))
+                seq += skip
+            yield seq, batch
+
+    def replay(self, after_seq: int = 0) -> Iterator[Tuple[int, Event]]:
+        """Yield logged ``(seq, event)`` pairs with ``seq > after_seq``
+        (:meth:`batches`, one event at a time)."""
+        for first, batch in self.batches(after_seq):
+            for offset, event in enumerate(batch):
+                yield first + offset, event
 
     def compact(self, through_seq: int) -> None:
-        """Drop log lines with ``seq <= through_seq`` (already snapshotted).
+        """Drop logged events with ``seq <= through_seq`` (already
+        snapshotted), writing the survivors as batch lines.
 
         The log is rewritten to a temporary file and atomically renamed,
         so a crash mid-compaction leaves either the old or the new log —
         never a mixture.
         """
         self.close()
-        survivors = [
-            (seq, event) for seq, event in self.replay(after_seq=through_seq)
-        ]
+        survivors = list(self.batches(after_seq=through_seq))
         temp = self._path.with_suffix(".jsonl.compact")
         with open(temp, "w", encoding="utf-8") as handle:
-            for seq, event in survivors:
-                payload = {"seq": int(seq), **event.to_dict()}
-                handle.write(json.dumps(payload, sort_keys=True) + "\n")
+            for seq, batch in survivors:
+                handle.write(_batch_line(seq, batch))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temp, self._path)
@@ -135,6 +177,10 @@ class EventLog:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
+
+
+def _batch_line(first_seq: int, batch: EventBatch) -> str:
+    return json.dumps({"seq": int(first_seq), **batch.to_columns()}) + "\n"
 
 
 # ----------------------------------------------------------------------

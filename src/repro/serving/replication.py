@@ -27,13 +27,16 @@ Wire protocol (four operations on the existing JSON-lines framing):
 ``repl_segment``
     Pushed frame (no ``id``): one **sealed segment** — an immutable,
     offset-stamped entry of the primary's mutation log.  ``kind:
-    "events"`` carries one acknowledged ingest batch (the same batch
-    the primary's write-ahead log sealed, watermark-tagged so the
-    follower can verify contiguity); ``kind: "evict"`` carries one
-    retention report (eviction mutates the ledger without feed events,
-    so it must ship too or followers would diverge).  A frame with
-    ``"reset": true`` tells a subscriber it fell out of the buffer —
-    re-bootstrap from a snapshot.
+    "events"`` carries one acknowledged ingest batch as its
+    ``columns`` (the :class:`~repro.serving.events.EventBatch` the
+    primary's write-ahead log sealed, watermark-tagged so the follower
+    can verify contiguity); ``kind: "evict"`` carries one retention
+    report (eviction mutates the ledger without feed events, so it must
+    ship too or followers would diverge).  Each entry's frame is
+    encoded once, when the entry is recorded, and every subscriber is
+    sent the same bytes.  A frame with ``"reset": true`` tells a
+    subscriber it fell out of the buffer — re-bootstrap from a
+    snapshot.
 
 ``repl_ack {"offset": n}``
     Pushed *upstream* (follower to primary, no ``id``, no reply) on the
@@ -73,9 +76,9 @@ from __future__ import annotations
 import asyncio
 import json
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple, Union
 
-from .events import Event
+from .events import Event, EventBatch
 from .resilience import RetryPolicy
 from .store import SketchStore, StoreConfig
 
@@ -113,7 +116,8 @@ class ReplicationHub:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = int(capacity)
-        self._entries: Deque[Dict[str, Any]] = deque()
+        #: ``(entry, encoded repl_segment frame)`` pairs, oldest first.
+        self._entries: Deque[Tuple[Dict[str, Any], bytes]] = deque()
         self._offset = 0
         self._watermark = 0
         self._event = asyncio.Event()
@@ -134,7 +138,7 @@ class ReplicationHub:
     @property
     def oldest_offset(self) -> Optional[int]:
         """Offset of the oldest retained entry, or ``None`` when empty."""
-        return self._entries[0]["offset"] if self._entries else None
+        return self._entries[0][0]["offset"] if self._entries else None
 
     def reseed(self, watermark: int) -> None:
         """Adopt a store's event watermark before any entry is recorded.
@@ -154,14 +158,17 @@ class ReplicationHub:
             )
         self._watermark = int(watermark)
 
-    def record_events(self, events: List[Event], watermark: int) -> None:
+    def record_events(
+        self, events: Union[EventBatch, Iterable[Event]], watermark: int
+    ) -> None:
         """Seal one acknowledged ingest batch as a segment entry."""
-        if not events:
+        batch = EventBatch.from_events(events)
+        if not len(batch):
             return
         self._append(
             {
                 "kind": "events",
-                "events": [event.to_dict() for event in events],
+                "columns": batch.to_columns(),
                 "watermark": int(watermark),
             }
         )
@@ -186,7 +193,8 @@ class ReplicationHub:
         self._offset += 1
         entry["offset"] = self._offset
         self._watermark = entry["watermark"]
-        self._entries.append(entry)
+        frame = json.dumps({"op": "repl_segment", "entry": entry}) + "\n"
+        self._entries.append((entry, frame.encode()))
         while len(self._entries) > self.capacity:
             self._entries.popleft()
         # Wake every pump waiting for news; each waiter re-arms on the
@@ -209,18 +217,19 @@ class ReplicationHub:
         oldest = self.oldest_offset
         return oldest is not None and oldest <= after_offset + 1
 
-    def entries_after(
+    def frames_after(
         self, after_offset: int
-    ) -> Optional[List[Dict[str, Any]]]:
-        """Retained entries past ``after_offset``; ``None`` on a gap."""
+    ) -> Optional[List[Tuple[int, bytes]]]:
+        """``(offset, encoded repl_segment line)`` for each retained
+        entry past ``after_offset``; ``None`` on a gap."""
         if after_offset == self._offset:
             return []
         oldest = self.oldest_offset
         if oldest is None or oldest > after_offset + 1:
             return None
         return [
-            entry
-            for entry in self._entries
+            (entry["offset"], frame)
+            for entry, frame in self._entries
             if entry["offset"] > after_offset
         ]
 
@@ -382,29 +391,31 @@ def install_snapshot(store: SketchStore, payload: Dict[str, Any]) -> int:
     return int(payload["offset"])
 
 
-def apply_entry(store: SketchStore, entry: Dict[str, Any]) -> None:
+def apply_entry(store: SketchStore, entry: Dict[str, Any]) -> int:
     """Apply one shipped segment entry to a follower store.
 
     ``events`` entries are verified contiguous — the entry's watermark
     minus its batch length must equal the store's current watermark —
-    then folded through the ordinary :meth:`SketchStore.ingest` path
-    (write-ahead logged locally when directory-backed).  ``evict``
-    entries drop the named keys and, on a directory-backed store,
-    snapshot so local WAL replay cannot resurrect a victim — the exact
-    durability rule the primary's own retention path follows.
+    then their columns are folded through the ordinary
+    :meth:`SketchStore.ingest` path (write-ahead logged locally when
+    directory-backed).  ``evict`` entries drop the named keys and, on a
+    directory-backed store, snapshot so local WAL replay cannot
+    resurrect a victim — the exact durability rule the primary's own
+    retention path follows.
+
+    Returns the number of feed events applied (0 for an eviction).
     """
     kind = entry.get("kind")
     if kind == "events":
-        events = [Event.from_dict(item) for item in entry["events"]]
-        expected = int(entry["watermark"]) - len(events)
+        batch = EventBatch.from_columns(entry["columns"])
+        expected = int(entry["watermark"]) - len(batch)
         if store.events_ingested != expected:
             raise ReplicationError(
                 f"segment at watermark {entry['watermark']} is not "
                 f"contiguous with the follower's "
                 f"{store.events_ingested}"
             )
-        store.ingest(events)
-        return
+        return store.ingest(batch)
     if kind == "evict":
         if int(entry["watermark"]) != store.events_ingested:
             raise ReplicationError(
@@ -415,7 +426,7 @@ def apply_entry(store: SketchStore, entry: Dict[str, Any]) -> None:
             store.group_state(group).drop_keys(entry["evictions"][group])
         if store.root is not None:
             store.snapshot()
-        return
+        return 0
     raise ReplicationError(f"unknown segment kind {kind!r}")
 
 
@@ -589,7 +600,7 @@ class ReplicaFollower:
                 f"segment offset {offset} is not contiguous with "
                 f"{self.offset}"
             )
-        apply_entry(self._store, entry)
+        applied = apply_entry(self._store, entry)
         self.offset = offset
         if self._metrics is not None:
             self._metrics.counter(
@@ -600,7 +611,7 @@ class ReplicaFollower:
                 self._metrics.counter(
                     "serving_repl_applied_events_total",
                     help="feed events applied by this follower",
-                ).inc(len(entry["events"]))
+                ).inc(applied)
 
     async def _send_ack(self, writer) -> None:
         """Push the applied offset upstream (the ``repl_ack`` frame)."""

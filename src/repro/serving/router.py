@@ -11,9 +11,11 @@ them answer as one store:
   hash the merge suite pins
   (:func:`~repro.serving.events.shard_events`): a ``(group, key)`` pair
   always lands on the same shard, so each key's accumulated weight
-  lives in exactly one place.  Sub-batches ship to their shards
-  concurrently; the acknowledgement carries the per-shard watermark
-  vector and their sum as the routed watermark.
+  lives in exactly one place.  The frame is decoded once into an
+  :class:`~repro.serving.events.EventBatch` and split by column, and
+  each shard is sent its sub-batch's columns, concurrently; the
+  acknowledgement carries the per-shard watermark vector and their
+  sum as the routed watermark.
 * **Scatter-gather queries** — ``sum``/``distinct``/``similarity`` are
   answered by gathering each shard's *serialized sketch views*
   (``shard_view`` responses), fusing them with
@@ -80,7 +82,7 @@ import asyncio
 import time
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .events import ROUTING_SALT, Event, shard_events
+from .events import ROUTING_SALT, EventBatch, shard_events
 from .metrics import MetricsRegistry
 from .resilience import RetryPolicy
 from .server import (
@@ -504,22 +506,21 @@ class ShardRouter(JSONLinesServer):
         return {"watermark": sum(vector), "watermarks": vector}
 
     async def _ingest_op(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        events = [
-            Event.from_dict(entry) for entry in payload.get("events", [])
-        ]
+        batches = shard_events(
+            EventBatch.from_frame(payload), len(self._slots), salt=self._salt
+        )
         snapshot = bool(payload.get("snapshot"))
-        batches = shard_events(events, len(self._slots), salt=self._salt)
         work = [
             (slot, batch)
             for slot, batch in zip(self._slots, batches)
             if batch
         ]
 
-        async def send(slot: ShardSlot, batch: List[Event]):
+        async def send(slot: ShardSlot, batch: EventBatch):
             return await self._shard_request(
                 slot,
                 "ingest",
-                events=[event.to_dict() for event in batch],
+                columns=batch.to_columns(),
                 snapshot=snapshot,
             )
 

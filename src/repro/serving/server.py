@@ -30,7 +30,7 @@ Operations::
     {"id": 2, "op": "query", "kind": "sum", "groups": ["a"], "backend": null}
     {"id": 3, "op": "query", "kind": "distinct", "until": 250.0}
     {"id": 4, "op": "query", "kind": "similarity", "groups": ["a", "b"]}
-    {"id": 5, "op": "ingest", "events": [{...}], "snapshot": false}
+    {"id": 5, "op": "ingest", "columns": {"keys": [...], ...}}
     {"id": 6, "op": "evict", "ttl": 3600.0, "max_keys": 512, "now": ...}
     {"id": 7, "op": "info"}
     {"id": 8, "op": "metrics"}
@@ -108,11 +108,21 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from typing import Any, Awaitable, Callable, Dict, Iterable, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Awaitable,
+    Callable,
+    Dict,
+    Iterable,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from .admission import AdmissionController
 from .batcher import QueryBatcher, QueryRequest
-from .events import Event
+from .events import Event, EventBatch
 from .metrics import MetricsRegistry
 from .replication import (
     AckTracker,
@@ -594,8 +604,8 @@ class SketchServer(JSONLinesServer):
                     pass
         if self._ingest_queue is not None:
             while not self._ingest_queue.empty():
-                events, _snapshot, future = self._ingest_queue.get_nowait()
-                self._admission.release(len(events))
+                batch, _snapshot, future = self._ingest_queue.get_nowait()
+                self._admission.release(len(batch))
                 if not future.done():
                     future.set_exception(
                         OSError("server stopped before applying the batch")
@@ -638,7 +648,9 @@ class SketchServer(JSONLinesServer):
     # ------------------------------------------------------------------
     # Mutation paths (shared by direct / queued / background callers)
     # ------------------------------------------------------------------
-    def _apply_ingest(self, events, snapshot: bool) -> Tuple[int, int]:
+    def _apply_ingest(
+        self, batch: EventBatch, snapshot: bool
+    ) -> Tuple[int, int]:
         """Apply one ingest batch, record its segment, instrument it.
 
         Returns ``(count, offset)`` — the covering segment offset is
@@ -649,12 +661,12 @@ class SketchServer(JSONLinesServer):
             "serving_ingest_apply_seconds",
             help="wall seconds applying one ingest batch to the store",
         ).time():
-            count = self._store.ingest(events)
+            count = self._store.ingest(batch)
         self._metrics.counter(
             "serving_ingest_events_total",
             help="feed events folded into the ledger",
         ).inc(count)
-        self._hub.record_events(events, self._store.events_ingested)
+        self._hub.record_events(batch, self._store.events_ingested)
         if snapshot and self._store.root is not None:
             self._store.snapshot()
         return count, self._hub.offset
@@ -688,17 +700,17 @@ class SketchServer(JSONLinesServer):
     async def _pump_ingest(self) -> None:
         """Drain the admission queue, applying batches one at a time."""
         while True:
-            events, snapshot, future = await self._ingest_queue.get()
+            batch, snapshot, future = await self._ingest_queue.get()
             start = time.perf_counter()
             try:
-                count, offset = self._apply_ingest(events, snapshot)
+                count, offset = self._apply_ingest(batch, snapshot)
             except Exception as exc:
-                self._admission.release(len(events))
+                self._admission.release(len(batch))
                 if not future.done():
                     future.set_exception(exc)
                 continue
             self._admission.note_applied(
-                len(events), time.perf_counter() - start
+                len(batch), time.perf_counter() - start
             )
             if not future.done():
                 future.set_result(
@@ -742,12 +754,10 @@ class SketchServer(JSONLinesServer):
         return durable
 
     async def _ingest_op(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        events = [
-            Event.from_dict(entry) for entry in payload.get("events", [])
-        ]
+        batch = EventBatch.from_frame(payload)
         snapshot = bool(payload.get("snapshot"))
         if self._admission is None:
-            count, offset = self._apply_ingest(events, snapshot)
+            count, offset = self._apply_ingest(batch, snapshot)
             response = {
                 "ok": True,
                 "ingested": count,
@@ -757,7 +767,7 @@ class SketchServer(JSONLinesServer):
             if durable is not None:
                 response["durable"] = durable
             return response
-        if not self._admission.try_admit(len(events)):
+        if not self._admission.try_admit(len(batch)):
             retry_after = self._admission.retry_after()
             self._metrics.counter(
                 "serving_ingest_shed_batches_total",
@@ -766,7 +776,7 @@ class SketchServer(JSONLinesServer):
             self._metrics.counter(
                 "serving_ingest_shed_events_total",
                 help="feed events shed by admission control",
-            ).inc(len(events))
+            ).inc(len(batch))
             return {
                 "ok": False,
                 "error": (
@@ -778,7 +788,7 @@ class SketchServer(JSONLinesServer):
                 "retry_after": retry_after,
             }
         future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._ingest_queue.put_nowait((events, snapshot, future))
+        self._ingest_queue.put_nowait((batch, snapshot, future))
         count, watermark, offset = await future
         response = {"ok": True, "ingested": count, "watermark": watermark}
         durable = await self._await_durability(count, offset)
@@ -946,8 +956,8 @@ class SketchServer(JSONLinesServer):
         offset = after_offset
         try:
             while True:
-                entries = self._hub.entries_after(offset)
-                if entries is None:
+                frames = self._hub.frames_after(offset)
+                if frames is None:
                     # The subscriber fell out of the bounded buffer —
                     # tell it to re-bootstrap and drop the stream.
                     writer.write(
@@ -965,17 +975,8 @@ class SketchServer(JSONLinesServer):
                     )
                     await writer.drain()
                     return
-                for entry in entries:
-                    writer.write(
-                        (
-                            json.dumps(
-                                {"op": "repl_segment", "entry": entry},
-                                sort_keys=True,
-                            )
-                            + "\n"
-                        ).encode()
-                    )
-                    offset = entry["offset"]
+                for offset, frame in frames:
+                    writer.write(frame)
                     shipped.inc()
                 await writer.drain()
                 await self._hub.wait_beyond(offset)
@@ -1265,9 +1266,12 @@ class ServingClient:
         return await self.request("query", **fields)
 
     async def ingest(
-        self, events: Iterable[Event], snapshot: bool = False
+        self,
+        events: Union[EventBatch, Iterable[Event]],
+        snapshot: bool = False,
     ) -> Dict[str, Any]:
-        """Ship a batch of events; the response acknowledges the count.
+        """Ship a batch of events as one ``columns`` frame; the response
+        acknowledges the count.
 
         Raises :class:`Overloaded` (with ``retry_after``) when the
         server sheds the batch under admission control — the batch was
@@ -1275,7 +1279,7 @@ class ServingClient:
         """
         return await self.request(
             "ingest",
-            events=[event.to_dict() for event in events],
+            columns=EventBatch.from_events(events).to_columns(),
             snapshot=snapshot,
         )
 

@@ -59,7 +59,7 @@ from ..core.seeds import SeedAssigner
 from ..sketches.ads import AllDistancesSketch, build_ads_from_distances
 from ..sketches.bottomk import BottomKSketch, RankMethod, bottom_k_sketch
 from ..sketches.pps import PPSSample, pps_sample
-from .events import Event
+from .events import Event, EventBatch
 
 __all__ = [
     "GroupState",
@@ -273,12 +273,14 @@ class SketchStore:
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
-    def ingest(self, events: Iterable[Event]) -> int:
+    def ingest(self, events: Union[EventBatch, Iterable[Event]]) -> int:
         """Fold a batch of events into the store, in order.
 
-        Directory-backed stores append each event to the write-ahead log
-        (flushed and fsynced per batch) *before* applying it, so a crash
-        can lose at most events never acknowledged by this method.
+        Directory-backed stores append the batch to the write-ahead log
+        as one line (flushed and fsynced) *before* applying it, so a
+        crash can lose at most a batch never acknowledged by this
+        method.  Pass an :class:`~repro.serving.events.EventBatch` to
+        have its columns logged as they are.
 
         **Append-only fast path.**  When a batch only *introduces* keys
         to a group (no event touches a key already in the ledger) and
@@ -297,11 +299,13 @@ class SketchStore:
         int
             Number of events ingested from this batch.
         """
-        batch = list(events)
+        if not isinstance(events, EventBatch):
+            events = list(events)
         if self._log is not None:
             self._log.append_batch(
-                (self._events + i + 1, event) for i, event in enumerate(batch)
+                self._events + 1, EventBatch.from_events(events)
             )
+        batch = list(events)
         per_group: Dict[str, List[Event]] = {}
         for event in batch:
             per_group.setdefault(event.group, []).append(event)

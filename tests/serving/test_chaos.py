@@ -198,16 +198,17 @@ class TestTornWal:
         root = tmp_path / "store"
         store = SketchStore.open(root, CONFIG)
         events = feed(90)
-        store.ingest(events)
+        ends = [12, 30, 31, 55, 70, 90]  # one WAL line per batch
+        for start, end in zip([0] + ends, ends):
+            store.ingest(events[start:end])
         store.close()
         # Tear into the last real record: recovery must stop at the
-        # torn line and rebuild exactly the surviving prefix.
+        # torn line and rebuild exactly the batches before it.
         tear_wal_tail(root, truncate=20, garbage=b"")
         reopened = SketchStore.open(root, CONFIG)
-        survived = reopened.events_ingested
-        assert 0 < survived < 90
+        assert reopened.events_ingested == ends[-2]
         reference = SketchStore(CONFIG)
-        reference.ingest(events[:survived])
+        reference.ingest(events[: ends[-2]])
         assert_stores_equal(reopened, reference)
         reopened.close()
 

@@ -33,6 +33,23 @@ def feed(n=120, seed=3):
     return synthetic_feed(n, num_keys=25, groups=("g1", "g2"), seed=seed)
 
 
+#: Batch sizes cycled by :func:`ingest_batches` — uneven, with a
+#: one-event batch, so batch and event boundaries do not line up.
+BATCH_SIZES = (7, 13, 1, 20, 9)
+
+
+def ingest_batches(store, events):
+    """Ingest ``events`` in :data:`BATCH_SIZES` batches; returns the
+    cumulative event count after each batch (one WAL line each)."""
+    ends, start, index = [], 0, 0
+    while start < len(events):
+        end = min(len(events), start + BATCH_SIZES[index % len(BATCH_SIZES)])
+        store.ingest(events[start:end])
+        ends.append(end)
+        start, index = end, index + 1
+    return ends
+
+
 def reference_store(events):
     store = SketchStore(CONFIG)
     store.ingest(events)
@@ -67,35 +84,55 @@ class TestWalTornTail:
         assert_matches_prefix(recovered, events)
         recovered.close()
 
-    def test_torn_last_line_drops_only_the_torn_event(self, tmp_path):
+    def test_torn_last_line_drops_only_the_torn_batch(self, tmp_path):
         events = feed()
         store = SketchStore.open(tmp_path, CONFIG)
-        store.ingest(events)
+        ends = ingest_batches(store, events)
         store.close()
         log = tmp_path / "events.jsonl"
         lines = log.read_bytes().splitlines(keepends=True)
+        assert len(lines) == len(ends)  # one line per batch
         log.write_bytes(b"".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
         recovered = SketchStore.open(tmp_path)
-        assert_matches_prefix(recovered, events[:-1])
+        assert_matches_prefix(recovered, events[: ends[-2]])
         recovered.close()
 
     @pytest.mark.parametrize("fraction", [0.0, 0.17, 0.5, 0.83, 0.999])
     def test_truncation_at_any_byte_boundary(self, tmp_path, fraction):
         events = feed()
         store = SketchStore.open(tmp_path, CONFIG)
-        store.ingest(events)
+        ends = ingest_batches(store, events)
         store.close()
         log = tmp_path / "events.jsonl"
         data = log.read_bytes()
         cut = int(len(data) * fraction)
         log.write_bytes(data[:cut])
-        survivors = sum(
-            1 for line in data[:cut].splitlines(keepends=True)
-            if line.endswith(b"\n")
-        )
+        # A cut inside line k keeps exactly the first k - 1 batches.
+        intact = data[:cut].count(b"\n")
+        survivors = ends[intact - 1] if intact else 0
+        if 0 < fraction < 1:
+            assert 0 < intact < len(ends)
         recovered = SketchStore.open(tmp_path)
         assert_matches_prefix(recovered, events[:survivors])
         recovered.close()
+
+    def test_torn_tail_is_cut_before_the_next_append(self, tmp_path):
+        # Batches acknowledged after recovering from a torn tail must not
+        # be written behind the torn bytes, where replay never reaches.
+        events = feed()
+        store = SketchStore.open(tmp_path, CONFIG)
+        ends = ingest_batches(store, events[:60])
+        store.close()
+        log = tmp_path / "events.jsonl"
+        log.write_bytes(log.read_bytes()[:-9])
+        recovered = SketchStore.open(tmp_path)
+        assert recovered.events_ingested == ends[-2]
+        recovered.ingest(events[ends[-2] : 90])
+        recovered.ingest(events[90:])
+        recovered.close()
+        reopened = SketchStore.open(tmp_path)
+        assert_matches_prefix(reopened, events)
+        reopened.close()
 
     def test_recovered_store_keeps_accepting_events(self, tmp_path):
         events = feed()
@@ -176,15 +213,24 @@ class TestSnapshotCrash:
     def test_snapshot_plus_tail_replay_has_no_duplicates(self, tmp_path):
         events = feed()
         store = SketchStore.open(tmp_path, CONFIG)
-        store.ingest(events[:50])
+        ingest_batches(store, events[:50])
         store.snapshot()
-        store.ingest(events[50:])
+        ends = ingest_batches(store, events[50:])
         store.close()
-        # The WAL holds only the post-snapshot tail; sequence numbers keep
-        # replay from re-applying anything the snapshot already folded in.
-        tail = [
-            json.loads(line)["seq"]
+        # The WAL holds only the post-snapshot tail, one line per batch;
+        # sequence numbers keep replay from re-applying anything the
+        # snapshot already folded in.
+        lines = [
+            json.loads(line)
             for line in (tmp_path / "events.jsonl").read_text().splitlines()
+        ]
+        assert [line["seq"] for line in lines] == [51] + [
+            51 + end for end in ends[:-1]
+        ]
+        tail = [
+            line["seq"] + row
+            for line in lines
+            for row in range(len(line["keys"]))
         ]
         assert tail == list(range(51, len(events) + 1))
         recovered = SketchStore.open(tmp_path)

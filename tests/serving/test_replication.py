@@ -13,11 +13,13 @@ connections still open and reopening directories mid-stream.
 """
 
 import asyncio
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.serving import (
+    EventBatch,
     ReplicaFollower,
     ReplicationError,
     ReplicationHub,
@@ -76,9 +78,9 @@ class TestReplicationHub:
         hub.record_evict({"g1": ["k"]}, watermark=10)
         assert hub.offset == 3
         assert hub.watermark == 10
-        assert [e["offset"] for e in hub.entries_after(0)] == [1, 2, 3]
-        assert hub.entries_after(2) == [hub.entries_after(0)[-1]]
-        assert hub.entries_after(3) == []
+        assert [offset for offset, _ in hub.frames_after(0)] == [1, 2, 3]
+        assert hub.frames_after(2) == [hub.frames_after(0)[-1]]
+        assert hub.frames_after(3) == []
 
     def test_empty_records_are_skipped(self):
         hub = ReplicationHub()
@@ -92,7 +94,7 @@ class TestReplicationHub:
         for i in range(6):
             hub.record_events(events[i : i + 1], watermark=i + 1)
         assert hub.oldest_offset == 5
-        assert hub.entries_after(0) is None  # fell out of the buffer
+        assert hub.frames_after(0) is None  # fell out of the buffer
         assert not hub.can_resume_from(0)
         assert hub.can_resume_from(4)
         assert hub.can_resume_from(6)
@@ -201,7 +203,7 @@ class TestApplyEntry:
         entry = {
             "offset": 1,
             "kind": "events",
-            "events": [e.to_dict() for e in feed(5)],
+            "columns": EventBatch.from_events(feed(5)).to_columns(),
             "watermark": 12,  # implies 7 events already applied; store has 0
         }
         with pytest.raises(ReplicationError, match="contiguous"):
@@ -239,23 +241,22 @@ def run_schedule(ops, hub_capacity):
             evicted = {g: keys for g, keys in report.items() if keys}
             hub.record_evict(evicted, primary.events_ingested)
         else:  # sync
-            entries = hub.entries_after(follower_offset)
-            if entries is None:
+            frames = hub.frames_after(follower_offset)
+            if frames is None:
                 install_snapshot(
                     follower, snapshot_payload(primary, hub.offset)
                 )
                 follower_offset = hub.offset
             else:
-                for entry in entries:
-                    apply_entry(follower, entry)
-                    follower_offset = entry["offset"]
+                for follower_offset, frame in frames:
+                    apply_entry(follower, json.loads(frame)["entry"])
             assert_stores_equal(follower, primary)
-    entries = hub.entries_after(follower_offset)
-    if entries is None:
+    frames = hub.frames_after(follower_offset)
+    if frames is None:
         install_snapshot(follower, snapshot_payload(primary, hub.offset))
     else:
-        for entry in entries:
-            apply_entry(follower, entry)
+        for _offset, frame in frames:
+            apply_entry(follower, json.loads(frame)["entry"])
     assert_stores_equal(follower, primary)
 
 
