@@ -14,13 +14,12 @@ warmup and repeat control, and writes a schema-validated JSON payload::
     python benchmarks/run_bench.py --only moments_ablation simulate_grid
     python benchmarks/run_bench.py --check BENCH_5.json   # validate a payload
     python benchmarks/run_bench.py --compare OLD.json NEW.json --band 0.5
-    python benchmarks/run_bench.py --threshold-sweep      # auto-threshold data
     python benchmarks/run_bench.py --list           # show the suite
 
 Every payload records the git SHA, python/numpy versions, the effective
-:class:`~repro.api.backend.BackendPolicy`, and per bench the median/min
-wall seconds, items per second, the backend decision the policy took at
-that size, and the measured speedup over the scalar baseline.  The
+:class:`~repro.api.backend.BackendPolicy` mode, and per bench the
+median/min wall seconds, items per second, and the measured speedup
+over the scalar baseline.  The
 ``BENCH_<n>.json`` files checked in at the repository root form the
 speedup trajectory; ``--check`` validates a payload's structure, and
 ``--compare OLD NEW`` diffs two payloads' *speedup ratios* —
@@ -33,11 +32,6 @@ engine path quietly falling back to scalar fails the build.  Because
 the engine and scalar calls alternate, a burst of host load slows both
 sides of a speedup instead of one; a load swing within a single call
 can still move a ratio.
-
-The ``--threshold-sweep`` mode measures the scalar/vectorized crossover
-of per-item estimation as a function of input size — the measurement
-behind ``repro.api.backend.DEFAULT_AUTO_THRESHOLD`` (methodology in that
-docstring).
 """
 
 from __future__ import annotations
@@ -71,7 +65,6 @@ REQUIRED_BENCH_FIELDS = (
     "repeats",
     "wall_s",
     "items_per_sec",
-    "backend_decision",
 )
 
 
@@ -80,13 +73,6 @@ def _seconds(fn: Callable[[], object]) -> float:
     start = time.perf_counter()
     fn()
     return time.perf_counter() - start
-
-
-def _time(fn: Callable[[], object], warmup: int, repeats: int) -> List[float]:
-    """Wall-clock seconds of ``repeats`` timed calls after ``warmup``."""
-    for _ in range(warmup):
-        fn()
-    return [_seconds(fn) for _ in range(max(1, repeats))]
 
 
 @contextmanager
@@ -108,13 +94,9 @@ def _stats(samples: Sequence[float]) -> Dict[str, float]:
 
 
 # ----------------------------------------------------------------------
-# The bench suite.  Each builder returns (fn, items, params) or
-# (fn, items, params, dispatch_size); fn runs the measured computation
-# under the ambient backend policy, and the harness re-runs it under a
-# forced-scalar policy for the baseline.  ``dispatch_size`` is the input
-# size the *library* resolves the backend on for this path (e.g. the
-# moment experiments dispatch on vectors × quadrature nodes, not on the
-# reported item count) — it defaults to ``items``.
+# The bench suite.  Each builder returns (fn, items, params); fn runs
+# the measured computation under the ambient backend policy, and the
+# harness re-runs it under a forced-scalar policy for the baseline.
 # ----------------------------------------------------------------------
 def _bench_batch_sum(smoke: bool):
     from repro.datasets.synthetic import surname_pairs
@@ -153,7 +135,6 @@ def _bench_simulate_grid(smoke: bool):
 
 
 def _bench_moments_dominance(smoke: bool):
-    from repro.engine.moments import approx_node_count
     from repro.experiments import dominance
 
     vectors = (
@@ -166,8 +147,6 @@ def _bench_moments_dominance(smoke: bool):
         lambda: dominance.run(vectors=vectors),
         count * 3,  # three estimators' exact variances per vector
         {"vectors": count, "estimators": 3},
-        # batch_variances dispatches on vectors x quadrature nodes.
-        count * approx_node_count(2),
     )
 
 
@@ -176,14 +155,10 @@ def _bench_moments_ablation(smoke: bool):
 
     sims = (0.0, 0.95) if smoke else (0.0, 0.25, 0.5, 0.75, 0.95)
     items = 15 if smoke else 40
-    from repro.engine.moments import approx_node_count
-
     return (
         lambda: ablation.run(similarities=sims, num_items=items),
         len(sims) * items * 4,  # four estimators' exact MSEs per item
         {"similarities": len(sims), "num_items": items, "estimators": 4},
-        # each batch_moments call dispatches on items x quadrature nodes.
-        items * approx_node_count(2),
     )
 
 
@@ -194,7 +169,6 @@ def _sweep(module, params: Dict[str, object]):
 
 
 def _bench_similarity_pairs(smoke: bool):
-    from repro.engine.moments import approx_node_count
     from repro.experiments import similarity
 
     ks, pairs = ((4,), 2) if smoke else ((4, 12), 6)
@@ -203,14 +177,10 @@ def _bench_similarity_pairs(smoke: bool):
         lambda: _sweep(similarity, params),
         len(ks) * (pairs + 3),  # _select_pairs adds 3 adjacent pairs
         {"ks": list(ks), "num_pairs": pairs},
-        # each pair dispatches on its sketch union x quadrature nodes;
-        # the default 120-node graph bounds the union.
-        120 * approx_node_count(2),
     )
 
 
 def _bench_ratios_sweep(smoke: bool):
-    from repro.engine.moments import approx_node_count
     from repro.experiments import ratios
 
     points = 2 if smoke else 3
@@ -224,8 +194,6 @@ def _bench_ratios_sweep(smoke: bool):
         lambda: _sweep(ratios, params),
         len(ratios.sweep_points(params)),
         {"grid_points": points, "exponents": list(exponents)},
-        # ratio numerators dispatch per sweep point: one vector x nodes.
-        approx_node_count(2),
     )
 
 
@@ -257,9 +225,7 @@ def run_suite(
     benches = []
     for name in names:
         builder = SUITE[name]
-        built = builder(smoke)
-        fn, items, params = built[:3]
-        dispatch_size = built[3] if len(built) > 3 else items
+        fn, items, params = builder(smoke)
         for _ in range(warmup):
             fn()
         base_fn = None
@@ -284,9 +250,6 @@ def run_suite(
             "repeats": len(samples),
             "wall_s": _stats(samples),
             "items_per_sec": float(items / statistics.median(samples)),
-            # Resolved at the size the library dispatches this path on
-            # ("auto" = engine whenever a kernel covers the estimator).
-            "backend_decision": policy.resolve(dispatch_size),
         }
         if base_fn is not None:
             entry["baseline"] = {"backend": "scalar", "wall_s": _stats(base)}
@@ -307,7 +270,7 @@ def run_suite(
         "python": platform.python_version(),
         "numpy": np.__version__,
         "platform": platform.platform(),
-        "backend": {"mode": policy.mode, "auto_threshold": policy.auto_threshold},
+        "backend": {"mode": policy.mode},
         "smoke": bool(smoke),
         "warmup": int(warmup),
         "benches": benches,
@@ -477,74 +440,6 @@ def next_output_path() -> Path:
     return REPO_ROOT / f"BENCH_{max(taken, default=0) + 1}.json"
 
 
-# ----------------------------------------------------------------------
-# Threshold sweep (the DEFAULT_AUTO_THRESHOLD measurement)
-# ----------------------------------------------------------------------
-def threshold_sweep(
-    sizes: Sequence[int] = (
-        16, 32, 64, 96, 128, 192, 256, 384, 512, 1024, 2048, 8192,
-    ),
-    repeats: int = 15,
-) -> Dict[str, object]:
-    """Scalar vs vectorized per-item estimation across grid sizes.
-
-    Times ``session.simulate`` — the per-item estimate loop against the
-    kernel batch, with *identical* setup, seeds, and results on both
-    sides — over replication × item grids of the given total sizes, and
-    reports the crossover: the smallest measured size at which the
-    vectorized path wins.  Dataset-shaped entry points bury the same
-    decision under per-item Python iteration that both backends share,
-    so the simulate grid is the purest view of the dispatch trade-off.
-    This is the measurement ``DEFAULT_AUTO_THRESHOLD`` is set from (see
-    its docstring for the recorded numbers and the safety-margin
-    rationale).
-    """
-    from repro.api.session import EstimationSession
-
-    items = 16
-    rng = np.random.default_rng(3)
-    tuples = [tuple(row) for row in rng.random((items, 2))]
-    rows = []
-    crossover: Optional[int] = None
-    for size in sizes:
-        reps = max(1, size // items)
-        timings = {}
-        for mode in ("scalar", "vectorized"):
-            # The session pins its policy at construction, so the forced
-            # mode must be baked in — a process-wide override set later
-            # would not reach it.
-            session = (
-                EstimationSession([1.0, 1.0], backend=mode)
-                .target("one_sided_range", p=1.0)
-                .estimator("lstar_closed")
-            )
-            samples = _time(
-                lambda: session.simulate(
-                    tuples, replications=reps, rng=11
-                ).value,
-                warmup=2, repeats=repeats,
-            )
-            timings[mode] = float(statistics.median(samples))
-        ratio = timings["scalar"] / timings["vectorized"]
-        if crossover is None and ratio >= 1.0:
-            crossover = items * reps
-        rows.append(
-            {
-                "grid": int(items * reps),
-                "scalar_s": timings["scalar"],
-                "vectorized_s": timings["vectorized"],
-                "vectorized_speedup": ratio,
-            }
-        )
-        print(
-            f"grid={items * reps:6d}  scalar {timings['scalar'] * 1e6:9.1f} us  "
-            f"vectorized {timings['vectorized'] * 1e6:9.1f} us  "
-            f"ratio {ratio:5.2f}x",
-            file=sys.stderr,
-        )
-    return {"sweep": rows, "measured_crossover": crossover}
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(description=__doc__)
@@ -576,9 +471,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              f"{DEFAULT_MIN_SPEEDUP})")
     parser.add_argument("--list", action="store_true",
                         help="list bench names and exit")
-    parser.add_argument("--threshold-sweep", action="store_true",
-                        help="measure the scalar/vectorized crossover "
-                             "instead of running the suite")
     args = parser.parse_args(argv)
 
     if args.list:
@@ -624,15 +516,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         verdict = "REGRESSED" if regressions else "ok"
         print(f"{args.compare[0]} -> {args.compare[1]}: {verdict}")
         return 1 if regressions else 0
-    if args.threshold_sweep:
-        payload = threshold_sweep()
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        if args.output:
-            Path(args.output).write_text(text + "\n")
-        else:
-            print(text)
-        return 0
-
     names = args.only if args.only else list(SUITE)
     unknown = [n for n in names if n not in SUITE]
     if unknown:

@@ -139,8 +139,8 @@ class SumAggregateEstimator:
         ``target``; defaults to all instances of the sample.
     backend:
         ``None`` (the default) uses the process-wide
-        :class:`~repro.api.backend.BackendPolicy`, which auto-dispatches
-        by the number of retained items.  A mode string or a policy
+        :class:`~repro.api.backend.BackendPolicy` (``auto`` by
+        default).  A mode string or a policy
         object overrides it: ``"scalar"`` applies ``estimator.estimate``
         outcome by outcome (the reference path); ``"vectorized"`` batches
         the retained items into a
@@ -196,7 +196,7 @@ class SumAggregateEstimator:
             selected = set(selection)
             rows = [k for k, key in enumerate(keys) if key in selected]
             keys = tuple(keys[k] for k in rows)
-        resolved = self._policy.resolve(len(keys))
+        resolved = self._policy.mode
         if resolved != "scalar":
             batched = self._estimate_batched(sample, keys, rows)
             if batched is not None:

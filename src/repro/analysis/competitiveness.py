@@ -169,13 +169,9 @@ def _batched_expected_squares(
     if not isinstance(scheme, CoordinatedScheme) or not vectors:
         return None
     from ..engine.kernels import resolve_kernel
-    from ..engine.moments import approx_node_count, batch_moments
+    from ..engine.moments import batch_moments
 
-    # Size the dispatch on the real work — vectors × quadrature nodes —
-    # so a configured auto_threshold is honoured here exactly as in
-    # batch_moments itself.
-    size = len(vectors) * approx_node_count(len(vectors[0]))
-    if BackendPolicy.coerce(backend).resolve(size) == "scalar":
+    if BackendPolicy.coerce(backend).mode == "scalar":
         return None
     if resolve_kernel(estimator, scheme) is None:
         return None

@@ -93,9 +93,9 @@ def simulate_sum_estimate(
     call.  Both backends consume the same given seeds, so the estimates
     still agree across backends.
 
-    ``backend`` is ``None`` (process-wide
-    :class:`~repro.api.backend.BackendPolicy`, auto-dispatching on the
-    replication × item grid size), a mode string, or a policy.
+    ``backend`` is ``None`` (the process-wide
+    :class:`~repro.api.backend.BackendPolicy`), a mode string, or a
+    policy.
     ``"vectorized"`` batches the grid through the engine kernel matching
     ``estimator`` (raising when none exists); ``"auto"`` falls back to
     the scalar loop instead of raising.  The vectorized path consumes the
@@ -105,7 +105,6 @@ def simulate_sum_estimate(
     unit kernels), which is how the E9 experiment's scaled samplers batch
     through here.
     """
-    policy = BackendPolicy.coerce(backend)
     rng = rng if rng is not None else np.random.default_rng()
     vectors = [tuple(float(x) for x in t) for t in tuples]
     true_value = sum(target(v) for v in vectors)
@@ -117,7 +116,7 @@ def simulate_sum_estimate(
                 f"got {seeds.shape}"
             )
     totals = np.empty(replications)
-    resolved = policy.resolve(replications * len(vectors))
+    resolved = BackendPolicy.coerce(backend).mode
     if resolved != "scalar" and vectors:
         batched = _simulate_batched(
             estimator, scheme, vectors, replications, rng, seeds=seeds

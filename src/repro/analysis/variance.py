@@ -142,13 +142,12 @@ def monte_carlo_moments(
     """Monte-Carlo mean and second moment (random seeds).
 
     ``backend`` follows the shared policy convention (``None`` = the
-    process-wide :class:`~repro.api.backend.BackendPolicy`, sized on the
-    replication count).  ``"vectorized"`` evaluates all replications in
-    one engine batch (raising when no kernel matches); ``"auto"`` falls
-    back to the scalar loop.  Both consume the generator stream in the
-    same order.
+    process-wide :class:`~repro.api.backend.BackendPolicy`).
+    ``"vectorized"`` evaluates all replications in one engine batch
+    (raising when no kernel matches); ``"auto"`` falls back to the scalar
+    loop.  Both consume the generator stream in the same order.
     """
-    resolved = BackendPolicy.coerce(backend).resolve(replications)
+    resolved = BackendPolicy.coerce(backend).mode
     rng = rng if rng is not None else np.random.default_rng()
     samples = _moments_batched(estimator, scheme, vector, replications, rng) \
         if resolved != "scalar" else None

@@ -2,19 +2,19 @@
 
 Before the facade existed, every entry point grew its own
 ``backend="scalar"|"vectorized"|"auto"`` keyword with its own default.
-:class:`BackendPolicy` centralises the decision:
+:class:`BackendPolicy` centralises the decision in one field, ``mode``:
 
-* ``mode`` — ``"scalar"`` (reference path), ``"vectorized"`` (engine
-  kernels, raising when none applies), or ``"auto"``;
-* ``auto_threshold`` — under ``"auto"``, inputs smaller than this many
-  per-item estimates stay on the scalar path (NumPy dispatch overhead
-  beats the loop only past a few hundred items), larger inputs use a
-  kernel whenever one exists.
+* ``"scalar"`` — the reference per-outcome path;
+* ``"vectorized"`` — the engine kernels, raising when none applies;
+* ``"auto"`` — the engine whenever a kernel covers the (estimator,
+  scheme) pair, the scalar path otherwise.  The input's size plays no
+  part: the kernels evaluate the same closed forms as the scalar path,
+  so the rule is a coverage question, never a tuning knob.
 
 The process-wide default is ``auto`` and can be overridden without code
-changes through the environment (``REPRO_BACKEND=scalar|vectorized|auto``
-and ``REPRO_BACKEND_THRESHOLD=<int>``) or programmatically with
-:func:`set_default_backend` — which is what ``run_all --backend`` uses.
+changes through the environment (``REPRO_BACKEND=scalar|vectorized|auto``)
+or programmatically with :func:`set_default_backend` — which is what
+``run_all --backend`` uses.
 
 Every legacy ``backend=`` argument now accepts ``None`` (use the default
 policy), one of the three mode strings, or a :class:`BackendPolicy`, and
@@ -39,48 +39,27 @@ __all__ = [
 #: The three recognised dispatch modes.
 BACKEND_MODES = ("scalar", "vectorized", "auto")
 
-#: Environment variables consulted for the process-wide default.
+#: Environment variable consulted for the process-wide default.
 ENV_MODE = "REPRO_BACKEND"
-ENV_THRESHOLD = "REPRO_BACKEND_THRESHOLD"
-
-#: Below this many per-item estimates, ``auto`` stays scalar.
-#:
-#: Measured, not guessed: ``python benchmarks/run_bench.py
-#: --threshold-sweep`` times the same replication × item simulate grid
-#: (identical setup, seeds, and results) under both forced backends
-#: across grid sizes.  On the reference container (Linux, CPython 3.11,
-#: NumPy 2.x) the vectorized path crosses over at a grid of ~32
-#: estimates (1.3x), wins ~2.5x at 64, ~10x at 512 — the previous,
-#: guessed threshold, which was therefore leaving an order of magnitude
-#: on the table for mid-sized grids — and ~35x at 8192.  The default is
-#: set to 64, one doubling above the measured crossover, so machines
-#: with slower NumPy dispatch still never lose by engaging the engine;
-#: below it the scalar loop's lower constant genuinely wins.  Re-run the
-#: sweep and update this constant (and these numbers) when the kernels
-#: or the hardware change materially.
-DEFAULT_AUTO_THRESHOLD = 64
 
 
 @dataclass(frozen=True)
 class BackendPolicy:
     """An immutable backend decision rule.
 
-    ``resolve(size)`` returns the legacy backend string the low-level
-    estimation code understands; ``resolve_exact(size)`` is the variant
-    for exact (ground-truth) queries, which have no kernel-availability
-    question and therefore never return ``"auto"``.
+    The estimation layers dispatch on ``mode`` directly;
+    :meth:`resolve_exact` is the variant for exact (ground-truth)
+    queries, which have no kernel-availability question and therefore
+    never run ``"auto"``.
     """
 
     mode: str = "auto"
-    auto_threshold: int = DEFAULT_AUTO_THRESHOLD
 
     def __post_init__(self) -> None:
         if self.mode not in BACKEND_MODES:
             raise ValueError(
                 f"backend mode must be one of {BACKEND_MODES}, got {self.mode!r}"
             )
-        if self.auto_threshold < 0:
-            raise ValueError("auto_threshold must be nonnegative")
 
     # ------------------------------------------------------------------
     # Construction
@@ -96,9 +75,7 @@ class BackendPolicy:
                 f"{ENV_MODE}={mode!r} is not a valid backend mode "
                 f"(expected one of {BACKEND_MODES})"
             )
-        raw_threshold = os.environ.get(ENV_THRESHOLD, "").strip()
-        threshold = int(raw_threshold) if raw_threshold else DEFAULT_AUTO_THRESHOLD
-        return cls(mode=mode, auto_threshold=threshold)
+        return cls(mode=mode)
 
     @classmethod
     def coerce(cls, spec: "BackendSpec") -> "BackendPolicy":
@@ -117,27 +94,9 @@ class BackendPolicy:
     # ------------------------------------------------------------------
     # Resolution
     # ------------------------------------------------------------------
-    def resolve(self, size: Optional[int] = None) -> str:
-        """Dispatch decision for estimation paths.
-
-        Returns ``"scalar"``, ``"vectorized"``, or ``"auto"`` (meaning
-        "use an engine kernel when one applies, scalar otherwise") — the
-        contract the estimation layers already implement.  Under
-        ``mode="auto"`` a known-small input short-circuits to scalar.
-        """
-        if self.mode != "auto":
-            return self.mode
-        if size is not None and size < self.auto_threshold:
-            return "scalar"
-        return "auto"
-
-    def resolve_exact(self, size: Optional[int] = None) -> str:
+    def resolve_exact(self) -> str:
         """Dispatch decision for exact queries: scalar or vectorized only."""
-        if self.mode != "auto":
-            return self.mode
-        if size is not None and size < self.auto_threshold:
-            return "scalar"
-        return "vectorized"
+        return "vectorized" if self.mode == "auto" else self.mode
 
 
 #: Accepted forms of a backend specification throughout the library.

@@ -56,9 +56,9 @@ protocol).  ``digest`` is the SHA-256 of the canonical JSON of the run's
 identity: the digest format version, the spec's key and
 task/finalize/points hooks (including their *source text*, so editing a
 task invalidates its files), the fully merged parameters, the work plan,
-the estimation plan, the scale name and the *effective* backend policy
-(mode and auto-threshold, whether it came from the runner's ``backend=``
-argument, ``set_default_backend`` or the environment).
+the estimation plan, the scale name and the *effective* backend mode
+(whether it came from the runner's ``backend=`` argument,
+``set_default_backend`` or the environment).
 
 A later run with the same digest replays the finalized file instead of
 computing; a run whose digest changed writes a new file, and a deleted
@@ -557,7 +557,7 @@ class _ShardJob:
     seed: int = 0
     total: int = 0
     points: Optional[Tuple[Any, ...]] = None
-    backend: Tuple[str, int] = ("auto", 0)
+    backend: str = "auto"
 
 
 def _run_job(
@@ -566,11 +566,11 @@ def _run_job(
     """Execute one shard in a worker process (or inline for ``jobs=1`` —
     same code path, so the two are bit-identical).
 
-    ``job.backend`` is the parent's *effective* policy (mode,
-    auto_threshold): installing it explicitly keeps workers on the
-    parent's dispatch rule even under spawn-style start methods, where an
-    in-process ``set_default_backend`` override would otherwise not be
-    inherited.  Replicated shards construct exactly their own range of
+    ``job.backend`` is the parent's *effective* backend mode: installing
+    it explicitly keeps workers on the parent's dispatch rule even under
+    spawn-style start methods, where an in-process
+    ``set_default_backend`` override would otherwise not be inherited.
+    Replicated shards construct exactly their own range of
     replication children (:func:`repro.core.seeds.spawn_children` — child
     ``i`` depends only on the plan seed and ``i``, never on the shard
     boundaries), so a worker's seed setup is O(shard), not O(total).
@@ -582,9 +582,7 @@ def _run_job(
         plain single-unit tasks that return a ``(records, metadata)``
         pair).
     """
-    set_default_backend(
-        BackendPolicy(mode=job.backend[0], auto_threshold=job.backend[1])
-    )
+    set_default_backend(job.backend)
     task = _resolve_hook(job.task)
     if job.kind == "replication":
         children = spawn_children(job.seed, job.lo, job.hi)
@@ -740,7 +738,7 @@ class ExperimentRunner:
                 if r.error is None and r.result is None and r.duplicate_of is None
             ]
             schedule = self._schedule(active)
-            self._execute(schedule, (policy.mode, policy.auto_threshold))
+            self._execute(schedule, policy.mode)
             for run in active:
                 if run.error is None:
                     try:
@@ -799,9 +797,7 @@ class ExperimentRunner:
             spec = resolve_spec(item)
             run.spec = spec
             params = spec.merged_params(scale)
-            run.digest = spec_digest(
-                spec, params, scale, f"{policy.mode}@{policy.auto_threshold}"
-            )
+            run.digest = spec_digest(spec, params, scale, policy.mode)
             first = seen.get((spec.key, run.digest))
             if first is not None:
                 run.duplicate_of = first
@@ -826,9 +822,9 @@ class ExperimentRunner:
             if spec.replication is not None:
                 run.kind = "replication"
                 run.units = spec.replications_for(params)
-                # Tasks may need the *total* unit count (e.g. for a
-                # shard-invariant dispatch decision) — guarantee it is
-                # present even when the spec relies on the plan's default.
+                # Tasks may need the *total* unit count, which a shard
+                # cannot see — guarantee it is present even when the
+                # spec relies on the plan's default.
                 params = dict(params, replications=run.units)
             elif spec.sweep is not None:
                 run.kind = "sweep"
@@ -905,7 +901,7 @@ class ExperimentRunner:
         return entries
 
     def _job_for(
-        self, run: _PreparedRun, unit: WorkUnit, backend: Tuple[str, int]
+        self, run: _PreparedRun, unit: WorkUnit, backend: str
     ) -> _ShardJob:
         """The picklable worker payload for one scheduled shard."""
         assert run.spec is not None
@@ -944,7 +940,7 @@ class ExperimentRunner:
     def _execute(
         self,
         schedule: Sequence[Tuple[WorkUnit, _PreparedRun]],
-        backend: Tuple[str, int],
+        backend: str,
     ) -> None:
         """Drain the global shard queue, streaming records as shards land.
 

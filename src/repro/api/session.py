@@ -12,8 +12,8 @@ owns the whole flow:
 * **seed management** — explicit per-item seeds, a shared generator, or
   deterministic key hashing, with the same precedence everywhere;
 * **backend policy** — one :class:`~repro.api.backend.BackendPolicy`
-  replaces every scattered ``backend=`` keyword and auto-dispatches by
-  input size;
+  replaces every scattered ``backend=`` keyword and, under ``auto``,
+  dispatches to an engine kernel whenever one covers the estimator;
 * **result objects** (:class:`~repro.api.results.EstimateResult`)
   carrying the estimate, its variance when available, and sample
   metadata.
@@ -210,7 +210,6 @@ class EstimationSession:
             if self._target is not None or self._is_estimator_instance()
             else self._estimator_spec,
             "backend": self._policy.mode,
-            "auto_threshold": self._policy.auto_threshold,
             "instances": self._instances,
         }
 
@@ -270,9 +269,9 @@ class EstimationSession:
     def query(self, query: str, dataset: Any, **kwargs: Any) -> EstimateResult:
         """Evaluate an exact (ground-truth) query from the query registry.
 
-        The backend policy picks scalar or vectorized evaluation by
-        dataset size; pass ``backend=`` (a mode string or a policy) to
-        override for this call.  Queries flagged
+        The backend policy picks scalar or vectorized evaluation (``auto``
+        means vectorized); pass ``backend=`` (a mode string or a policy)
+        to override for this call.  Queries flagged
         ``explicit_backend_only`` — the built-in ``"sum"``, whose scalar
         and vectorized paths hand the item function different inputs —
         stay scalar under an ``"auto"`` policy and switch only on an
@@ -288,7 +287,7 @@ class EstimationSession:
         if getattr(func, "explicit_backend_only", False):
             backend = policy.mode if policy.mode != "auto" else "scalar"
         else:
-            backend = policy.resolve_exact(len(dataset))
+            backend = policy.resolve_exact()
         if "target" in _kwarg_names(func) and "target" not in kwargs \
                 and self._target is not None:
             kwargs["target"] = self._target
@@ -338,7 +337,7 @@ class EstimationSession:
             value=summary.mean,
             estimator=estimator.name,
             target=repr(self._target),
-            backend=self._policy.resolve(replications * len(tuples)),
+            backend=self._policy.mode,
             items_seen=len(tuples),
             variance=summary.variance,
             metadata={
@@ -498,7 +497,7 @@ class EstimationSession:
             value=estimate.value,
             estimator=estimate.estimator,
             target=repr(self._target),
-            backend=self._policy.resolve(n_keys),
+            backend=self._policy.mode,
             items_seen=n_keys,
             items_contributing=estimate.contributing_items,
             metadata={"sum_estimate": estimate},
@@ -507,17 +506,15 @@ class EstimationSession:
     def _estimate_dataset(
         self, dataset, *, seeds, rng, salt, selection
     ) -> EstimateResult:
-        resolved = self._policy.resolve(len(dataset))
-        if resolved != "scalar":
+        if self._policy.mode != "scalar":
             return self._estimate_dataset_engine(
-                dataset, seeds=seeds, rng=rng, salt=salt, selection=selection,
-                resolved=resolved,
+                dataset, seeds=seeds, rng=rng, salt=salt, selection=selection
             )
         sample = self.sample(dataset, seeds=seeds, rng=rng, salt=salt)
         return self._estimate_sample(sample, selection)
 
     def _estimate_dataset_engine(
-        self, dataset, *, seeds, rng, salt, selection, resolved
+        self, dataset, *, seeds, rng, salt, selection
     ) -> EstimateResult:
         """Stream the dataset through the chunked batch engine.
 
@@ -532,7 +529,7 @@ class EstimationSession:
         engine = BatchSumEngine(
             estimator, rates=self._linear_rates(), instances=self._instances
         )
-        if resolved == "vectorized" and engine.kernel is None:
+        if self._policy.mode == "vectorized" and engine.kernel is None:
             raise ValueError(
                 "no vectorized kernel covers this estimator/scheme pair; "
                 "use backend='scalar' or backend='auto'"
@@ -548,7 +545,7 @@ class EstimationSession:
             value=result.value,
             estimator=result.estimator,
             target=repr(self._target),
-            backend=resolved,
+            backend=self._policy.mode,
             items_seen=result.items_seen,
             items_contributing=result.items_contributing,
             metadata={"batch_result": result},

@@ -48,7 +48,7 @@ from ..estimators.base import Estimator
 from .batch_outcome import BatchOutcome
 from .kernels import resolve_kernel
 
-__all__ = ["approx_node_count", "batch_moments", "batch_variances"]
+__all__ = ["batch_moments", "batch_variances"]
 
 #: Lower integration limit (matches the scalar quadrature's default).
 LOWER_LIMIT = 1e-12
@@ -89,20 +89,6 @@ def _panel_edges(
     return np.asarray(sorted(set(edges) | set(refined)))
 
 
-def approx_node_count(
-    dimension: int, lower: float = LOWER_LIMIT, order: int = GL_ORDER
-) -> int:
-    """Rough quadrature nodes per vector, for sizing dispatch decisions.
-
-    Breakpoints are per-entry and the geometric refinement adds a
-    logarithmic number of panels; callers multiply by their vector count
-    and feed the product to :meth:`BackendPolicy.resolve` so the
-    configured ``auto_threshold`` measures the real node workload.
-    """
-    panels = dimension + 1 + int(np.log(1.0 / lower) / np.log(REFINE_RATIO))
-    return order * panels
-
-
 def _nodes_for(edges: np.ndarray, order: int) -> Tuple[np.ndarray, np.ndarray]:
     """All Gauss–Legendre nodes and weights for the given panel edges."""
     g, gw = _gauss_legendre(order)
@@ -131,9 +117,7 @@ def batch_moments(
     Equivalent to ``[moments(estimator, scheme, target, v, rtol=rtol) for
     v in vectors]`` but batched through the engine kernel matching
     ``estimator`` when the backend policy allows it; ``rtol`` only
-    applies on the scalar fallback.  The dispatch decision sizes the
-    input as vectors × quadrature nodes, so even short vector sweeps
-    engage the kernels (each vector costs hundreds of node evaluations).
+    applies on the scalar fallback.
 
     Returns
     -------
@@ -145,15 +129,12 @@ def batch_moments(
     vectors = [tuple(float(x) for x in v) for v in vectors]
     if not vectors:
         return []
-    policy = BackendPolicy.coerce(backend)
     kernel = (
         resolve_kernel(estimator, scheme)
         if isinstance(scheme, CoordinatedScheme)
         else None
     )
-    resolved = policy.resolve(
-        len(vectors) * approx_node_count(len(vectors[0]), lower, order)
-    )
+    resolved = BackendPolicy.coerce(backend).mode
     if resolved == "scalar" or kernel is None:
         if resolved == "vectorized" and kernel is None:
             raise ValueError(
@@ -219,15 +200,12 @@ def batch_variances(
     vectors = [tuple(float(x) for x in v) for v in vectors]
     if not vectors:
         return []
-    policy = BackendPolicy.coerce(backend)
     kernel = (
         resolve_kernel(estimator, scheme)
         if isinstance(scheme, CoordinatedScheme)
         else None
     )
-    resolved = policy.resolve(
-        len(vectors) * approx_node_count(len(vectors[0]))
-    )
+    resolved = BackendPolicy.coerce(backend).mode
     if resolved == "scalar" or kernel is None:
         if resolved == "vectorized" and kernel is None:
             raise ValueError(

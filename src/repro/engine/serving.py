@@ -11,12 +11,14 @@ one kernel call here.
 Both kernels implement the scalar reference path and a vectorized NumPy
 path behind the shared :class:`~repro.api.backend.BackendPolicy`
 (``resolve_exact``: these are closed-form reductions with no
-kernel-availability question).  The vectorized path concatenates every
-group's entries into one flat array and reduces per group with
-``np.bincount`` — one pass, no Python-level loop over entries.  The two
-paths agree to floating-point accumulation order (NumPy's pairwise
-summation versus the scalar left fold); the accuracy regression tests
-pin the serving layer's answers to the scalar path.
+kernel-availability question, so ``auto`` always takes the vectorized
+path).  The vectorized path concatenates every group's entries into one
+flat array and reduces per group with ``np.bincount`` — one pass, no
+Python-level loop over entries.  ``np.bincount`` accumulates each
+group's terms left to right in input order, the very fold the scalar
+path performs, and both paths compute each term with the same IEEE
+operation, so the two return ``==`` answers
+(``tests/engine/test_serving_kernels.py`` pins this).
 """
 
 from __future__ import annotations
@@ -51,8 +53,7 @@ def batch_ht_sums(
         The shared PPS rate the samples were drawn with (positive).
     backend:
         ``None`` (process-wide policy), a mode string, or a
-        :class:`~repro.api.backend.BackendPolicy`.  Dispatch sizes the
-        input by the total number of entries across groups.
+        :class:`~repro.api.backend.BackendPolicy`.
 
     Returns
     -------
@@ -61,15 +62,19 @@ def batch_ht_sums(
     """
     if tau_star <= 0:
         raise ValueError("tau_star must be positive")
-    sizes = [len(group) for group in weight_groups]
-    resolved = BackendPolicy.coerce(backend).resolve_exact(sum(sizes))
-    if resolved == "scalar":
-        return [
-            sum(max(float(w), tau_star) for w in group)
-            for group in weight_groups
-        ]
+    if BackendPolicy.coerce(backend).resolve_exact() == "scalar":
+        # An explicit left fold, like np.bincount's: on Python >= 3.12
+        # ``sum()`` compensates float rounding and would differ.
+        out = []
+        for group in weight_groups:
+            total = 0.0
+            for w in group:
+                total += max(float(w), tau_star)
+            out.append(total)
+        return out
     if not weight_groups:
         return []
+    sizes = [len(group) for group in weight_groups]
     if any(sizes):
         flat = np.concatenate(
             [np.asarray(group, dtype=float) for group in weight_groups]
@@ -101,17 +106,14 @@ def batch_hip_counts(
         must lie in ``(0, 1]``.
     backend:
         ``None`` (process-wide policy), a mode string, or a
-        :class:`~repro.api.backend.BackendPolicy`.  Dispatch sizes the
-        input by the total number of entries across groups.
+        :class:`~repro.api.backend.BackendPolicy`.
 
     Returns
     -------
     list of float
         Per-group cardinality estimates, in input order.
     """
-    sizes = [len(group) for group in probability_groups]
-    resolved = BackendPolicy.coerce(backend).resolve_exact(sum(sizes))
-    if resolved == "scalar":
+    if BackendPolicy.coerce(backend).resolve_exact() == "scalar":
         out = []
         for group in probability_groups:
             total = 0.0
@@ -126,6 +128,7 @@ def batch_hip_counts(
         return out
     if not probability_groups:
         return []
+    sizes = [len(group) for group in probability_groups]
     if any(sizes):
         flat = np.concatenate(
             [np.asarray(group, dtype=float) for group in probability_groups]
@@ -160,8 +163,8 @@ def batch_hip_horizon_counts(
     threshold)`` columns plus a horizon, the kernel masks per group and
     hands the surviving probabilities to :func:`batch_hip_counts` — so a
     one-group call is exactly the sequential code path (same masking,
-    same dispatch size, same reduction), which is what makes coalesced
-    answers bit-identical to single-caller answers.
+    same reduction), which is what makes coalesced answers bit-identical
+    to single-caller answers.
 
     Parameters
     ----------
@@ -173,9 +176,7 @@ def batch_hip_horizon_counts(
         time).
     backend:
         ``None`` (process-wide policy), a mode string, or a
-        :class:`~repro.api.backend.BackendPolicy`.  Dispatch sizes the
-        input by the total number of entries *surviving* the masks,
-        matching what per-group sequential calls would resolve on.
+        :class:`~repro.api.backend.BackendPolicy`.
 
     Returns
     -------

@@ -119,36 +119,13 @@ def _configurations(
 
 
 def _session_for(
-    estimation: Mapping[str, Any], tau: float, p: float, estimator_key: str,
-    backend: Any = None,
+    estimation: Mapping[str, Any], tau: float, p: float, estimator_key: str
 ) -> EstimationSession:
     return (
-        EstimationSession([tau, tau], scheme=estimation["scheme"],
-                          backend=backend)
+        EstimationSession([tau, tau], scheme=estimation["scheme"])
         .target(estimation["target"], p=p)
         .estimator(estimator_key)
     )
-
-
-def _shard_invariant_policy(total_replications: int, num_items: int):
-    """A backend policy whose dispatch ignores the shard size.
-
-    The process-default policy decides by input size; a shard sees only
-    its own slice of the replications, so under ``auto`` a small shard
-    could resolve to the scalar path while the whole run resolves to the
-    kernels — and the two differ in floating-point summation order,
-    breaking the bit-identical-for-any-``jobs`` guarantee.  Deciding once
-    on the *total* replication × item grid and pinning the result keeps
-    every shard on the same path.
-    """
-    from ..api.backend import BackendPolicy, default_backend
-
-    decision = default_backend().resolve(total_replications * num_items)
-    if decision == "auto":
-        # Above the threshold: use a kernel whenever one exists,
-        # regardless of how small an individual shard is.
-        return BackendPolicy(mode="auto", auto_threshold=0)
-    return BackendPolicy(mode=decision)
 
 
 def replicate(
@@ -173,7 +150,6 @@ def replicate(
     # Everything replication-independent — the shared rate, the tuple
     # list, the sessions — is prepared once per configuration; the
     # replication loop only derives seeds.
-    total_replications = int(params.get("replications", len(children)))
     tuples_by_workload: Dict[str, List[Tuple[float, ...]]] = {}
     prepared = []
     for workload, dataset, p, rate in configurations:
@@ -182,9 +158,8 @@ def replicate(
                 dataset.tuple_for(key) for key in dataset.items
             ]
         tau = shared_rate(dataset, rate)
-        policy = _shard_invariant_policy(total_replications, len(dataset))
         sessions = {
-            label: _session_for(estimation, tau, p, estimator_key, policy)
+            label: _session_for(estimation, tau, p, estimator_key)
             for label, estimator_key in estimation["estimators"].items()
         }
         prepared.append(

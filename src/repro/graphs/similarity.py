@@ -33,7 +33,6 @@ from ..api.backend import BackendPolicy, BackendSpec
 from ..core.functions import MaxPower, MinPower
 from ..core.outcome import Outcome
 from ..core.schemes import CoordinatedScheme, ThresholdFunction
-from ..engine.moments import approx_node_count
 from ..estimators.base import Estimator
 from ..estimators.lstar import LStarEstimator
 from .dijkstra import shortest_path_lengths
@@ -176,15 +175,11 @@ def estimate_closeness_similarity(
         :func:`_batched_similarity`), and the vectorized path evaluates
         the whole union of sketch entries in a handful of array
         expressions.  A custom ``estimator_factory`` always takes the
-        scalar per-outcome path.  The dispatch decision sizes the input
-        on the scalar path's real work, a quadrature per union node:
-        union nodes × quadrature nodes, as the ratio numerators do.
+        scalar per-outcome path.
     """
     union = set(sketch_u.entries) | set(sketch_v.entries)
     if estimator_factory is None:
-        size = len(union) * approx_node_count(2)
-        resolved = BackendPolicy.coerce(backend).resolve(size)
-        if resolved != "scalar":
+        if BackendPolicy.coerce(backend).mode != "scalar":
             return _batched_similarity(sketch_u, sketch_v, ranks, alpha, union)
         estimator_factory = LStarEstimator
     numerator_target = MinPower(p=1.0)   # alpha(max distance) = min of the alphas

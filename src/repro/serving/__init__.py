@@ -19,7 +19,7 @@ distinct-count queries) use them:
     temporal-ADS sketches coordinated via shared hashed seeds, first-class
     :func:`~repro.serving.store.merge_stores`, and a batch query
     front-end (``sum`` / ``similarity`` / ``distinct``) dispatched through
-    the engine kernels under the shared
+    the engine kernels under the process-wide
     :class:`~repro.api.backend.BackendPolicy`.
 
 :mod:`repro.serving.persistence`

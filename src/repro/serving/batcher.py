@@ -13,12 +13,10 @@ answers are bit-identical to the same request issued alone — holds
 because of three deliberate choices, all testable in isolation through
 :func:`execute_batch`:
 
-* Each request's backend is resolved *individually* against the entry
-  count its own sequential call would see
-  (:meth:`SketchStore.dispatch_size
-  <repro.serving.store.SketchStore.dispatch_size>`), and requests only
-  share a store call with requests that resolved to the same mode — an
-  ``auto`` policy therefore decides exactly as it would sequentially.
+* Every request runs under the one process-wide
+  :class:`~repro.api.backend.BackendPolicy`, whose decision depends on
+  the query kind alone, never on the input's size — so merging
+  requests cannot flip a dispatch decision.
 * The shared store calls reduce **per group**: ``np.bincount``
   accumulates each group's entries contiguously in input order, so a
   group's float-addition sequence inside a coalesced call is the very
@@ -27,8 +25,9 @@ because of three deliberate choices, all testable in isolation through
   plugins, unknown kinds) run individually inside the window — same
   code path as a sequential caller, just scheduled together.
 
-``similarity`` requests coalesce by deduplication: identical
-``(groups, backend)`` requests in one window share a single estimate.
+``similarity`` requests coalesce by deduplication: requests for the
+same groups in one window share a single estimate.  A wire ``backend``
+field, which older clients send, is ignored.
 """
 
 from __future__ import annotations
@@ -36,8 +35,6 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-from ..api.backend import BackendPolicy, BackendSpec
 
 __all__ = ["BatcherStats", "QueryBatcher", "QueryRequest", "execute_batch"]
 
@@ -55,7 +52,6 @@ class QueryRequest:
     groups: Optional[Tuple[str, ...]] = None
     keys: Optional[Tuple[str, ...]] = None
     until: Optional[float] = None
-    backend: BackendSpec = None
 
     @classmethod
     def from_payload(cls, payload) -> "QueryRequest":
@@ -72,7 +68,6 @@ class QueryRequest:
             ),
             keys=None if keys is None else tuple(str(key) for key in keys),
             until=None if until is None else float(until),
-            backend=payload.get("backend"),
         )
 
 
@@ -91,14 +86,6 @@ class BatcherStats:
             "flushes": self.flushes,
             "store_calls": self.store_calls,
         }
-
-
-def _normalized_backend(backend: BackendSpec):
-    """A hashable stand-in for a backend spec (strings and policies are
-    hashable already; ``None`` means the process-wide policy)."""
-    if backend is None or isinstance(backend, (str, BackendPolicy)):
-        return backend
-    raise ValueError(f"unsupported backend spec {backend!r}")
 
 
 def execute_batch(
@@ -120,10 +107,9 @@ def execute_batch(
     results: List[Any] = [None] * len(requests)
     errors: List[Optional[Exception]] = [None] * len(requests)
     calls = 0
-    # (kind, resolved-mode) -> list of (slot, groups) / (slot, pairs)
-    sum_buckets: Dict[str, List[Tuple[int, Tuple[str, ...]]]] = {}
-    distinct_buckets: Dict[str, List[Tuple[int, List[tuple]]]] = {}
-    similarity_buckets: Dict[tuple, List[int]] = {}
+    sum_members: List[Tuple[int, Tuple[str, ...]]] = []
+    distinct_members: List[Tuple[int, List[tuple]]] = []
+    similarity_buckets: Dict[Tuple[str, ...], List[int]] = {}
     singles: List[int] = []
     for slot, request in enumerate(requests):
         try:
@@ -133,63 +119,53 @@ def execute_batch(
                 else request.groups
             )
             if request.kind == "sum" and request.keys is None:
-                mode = BackendPolicy.coerce(request.backend).resolve_exact(
-                    store.dispatch_size("sum", groups)
-                )
-                sum_buckets.setdefault(mode, []).append((slot, groups))
+                sum_members.append((slot, groups))
             elif request.kind == "distinct" and request.keys is None:
-                mode = BackendPolicy.coerce(request.backend).resolve_exact(
-                    store.dispatch_size("distinct", groups, until=request.until)
-                )
                 pairs = [(group, request.until) for group in groups]
-                distinct_buckets.setdefault(mode, []).append((slot, pairs))
+                distinct_members.append((slot, pairs))
             elif request.kind == "similarity":
-                signature = (groups, _normalized_backend(request.backend))
-                similarity_buckets.setdefault(signature, []).append(slot)
+                similarity_buckets.setdefault(groups, []).append(slot)
             else:
                 singles.append(slot)
         except Exception as exc:  # per-request planning failure
             errors[slot] = exc
-    for mode, members in sum_buckets.items():
-        ordered: List[str] = []
-        seen = set()
-        for _slot, groups in members:
-            for group in groups:
-                if group not in seen:
-                    seen.add(group)
-                    ordered.append(group)
+    if sum_members:
+        ordered = list(
+            dict.fromkeys(
+                group for _slot, groups in sum_members for group in groups
+            )
+        )
         try:
-            answers = store.query("sum", groups=ordered, backend=mode)
+            answers = store.query("sum", groups=ordered)
             calls += 1
         except Exception as exc:
-            for slot, _groups in members:
+            for slot, _groups in sum_members:
                 errors[slot] = exc
-            continue
-        for slot, groups in members:
-            results[slot] = {group: answers[group] for group in groups}
-    for mode, members in distinct_buckets.items():
-        ordered_pairs: List[tuple] = []
-        index: Dict[tuple, int] = {}
-        for _slot, pairs in members:
-            for pair in pairs:
-                if pair not in index:
-                    index[pair] = len(ordered_pairs)
-                    ordered_pairs.append(pair)
+        else:
+            for slot, groups in sum_members:
+                results[slot] = {group: answers[group] for group in groups}
+    if distinct_members:
+        ordered_pairs = list(
+            dict.fromkeys(
+                pair for _slot, pairs in distinct_members for pair in pairs
+            )
+        )
+        index = {pair: position for position, pair in enumerate(ordered_pairs)}
         try:
-            values = store.distinct_batch(ordered_pairs, backend=mode)
+            values = store.distinct_batch(ordered_pairs)
             calls += 1
         except Exception as exc:
-            for slot, _pairs in members:
+            for slot, _pairs in distinct_members:
                 errors[slot] = exc
-            continue
-        for slot, pairs in members:
-            results[slot] = {
-                group: values[index[(group, until)]]
-                for group, until in pairs
-            }
-    for (groups, backend), slots in similarity_buckets.items():
+        else:
+            for slot, pairs in distinct_members:
+                results[slot] = {
+                    group: values[index[(group, until)]]
+                    for group, until in pairs
+                }
+    for groups, slots in similarity_buckets.items():
         try:
-            value = store.query("similarity", groups=groups, backend=backend)
+            value = store.query("similarity", groups=groups)
             calls += 1
         except Exception as exc:
             for slot in slots:
@@ -205,7 +181,6 @@ def execute_batch(
                 groups=request.groups,
                 keys=request.keys,
                 until=request.until,
-                backend=request.backend,
             )
             calls += 1
         except Exception as exc:

@@ -66,7 +66,6 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..api.backend import BACKEND_MODES
 from ..sketches.bottomk import RankMethod
 from .events import EventBatch, read_events, synthetic_feed, write_events
 from .metrics import MetricsHTTPShim
@@ -152,7 +151,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
             groups=args.groups,
             keys=args.keys,
             until=args.until,
-            backend=args.backend,
         )
     finally:
         store.close()
@@ -392,7 +390,6 @@ async def run_load(
     requests_per_client: int = 8,
     mode: str = "concurrent",
     kinds: Sequence[str] = ("sum", "distinct"),
-    backend: Optional[str] = None,
     ingest_events: int = 0,
     ingest_batch: int = 100,
     ingest_seed: int = 0,
@@ -484,9 +481,9 @@ async def run_load(
             nonlocal errors
             try:
                 if kind == "similarity":
-                    await client.query(kind, groups=pair, backend=backend)
+                    await client.query(kind, groups=pair)
                 else:
-                    await client.query(kind, backend=backend)
+                    await client.query(kind)
             except ServingError:
                 errors += 1
 
@@ -550,7 +547,6 @@ def _cmd_load(args: argparse.Namespace) -> int:
             requests_per_client=args.requests,
             mode=args.mode,
             kinds=tuple(args.kinds),
-            backend=args.backend,
             ingest_events=args.ingest_events,
             ingest_batch=args.ingest_batch,
             ingest_seed=args.ingest_seed,
@@ -638,7 +634,6 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument("--groups", nargs="+", default=None)
     query.add_argument("--keys", nargs="+", default=None)
     query.add_argument("--until", type=float, default=None)
-    query.add_argument("--backend", choices=BACKEND_MODES, default=None)
     query.set_defaults(func=_cmd_query)
 
     snapshot = sub.add_parser("snapshot", help="snapshot a store's ledger")
@@ -753,7 +748,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--kinds", nargs="+", default=["sum", "distinct"],
         choices=["sum", "distinct", "similarity"],
     )
-    load.add_argument("--backend", choices=BACKEND_MODES, default=None)
     load.add_argument(
         "--ingest-events", type=int, default=0,
         help="ship this many synthetic events to the server first "

@@ -683,7 +683,6 @@ class ShardRouter(JSONLinesServer):
             groups=groups,
             keys=payload.get("keys"),
             until=None if until is None else float(until),
-            backend=payload.get("backend"),
         )
         # The cut the gathered views describe, not the slots' current
         # watermarks, which an ingest may have advanced meanwhile.

@@ -27,7 +27,7 @@ pins the answer to an exact feed prefix.
 Operations::
 
     {"id": 1, "op": "ping"}
-    {"id": 2, "op": "query", "kind": "sum", "groups": ["a"], "backend": null}
+    {"id": 2, "op": "query", "kind": "sum", "groups": ["a"]}
     {"id": 3, "op": "query", "kind": "distinct", "until": 250.0}
     {"id": 4, "op": "query", "kind": "similarity", "groups": ["a", "b"]}
     {"id": 5, "op": "ingest", "columns": {"keys": [...], ...}}
@@ -1250,7 +1250,6 @@ class ServingClient:
         groups: Optional[Sequence[str]] = None,
         keys: Optional[Sequence[str]] = None,
         until: Optional[float] = None,
-        backend: Optional[str] = None,
     ) -> Dict[str, Any]:
         """Issue one serving query; the response carries ``result`` and
         ``watermark``."""
@@ -1261,8 +1260,6 @@ class ServingClient:
             fields["keys"] = list(keys)
         if until is not None:
             fields["until"] = until
-        if backend is not None:
-            fields["backend"] = backend
         return await self.request("query", **fields)
 
     async def ingest(

@@ -31,7 +31,7 @@ lives at the sketch level, see :meth:`BottomKSketch.merge
 Queries go through a :class:`~repro.api.registry.Registry` of serving
 query kinds (``sum`` / ``similarity`` / ``distinct``), answer straight
 from the sketches through the engine kernels in
-:mod:`repro.engine.serving`, and honour the shared
+:mod:`repro.engine.serving`, and follow the process-wide
 :class:`~repro.api.backend.BackendPolicy`.
 """
 
@@ -53,7 +53,6 @@ from typing import (
 )
 
 from ..aggregates.coordinated import CoordinatedSample
-from ..api.backend import BackendPolicy, BackendSpec
 from ..api.registry import Registry
 from ..core.seeds import SeedAssigner
 from ..sketches.ads import AllDistancesSketch, build_ads_from_distances
@@ -515,9 +514,12 @@ class SketchStore:
         groups: Optional[Sequence[str]] = None,
         keys: Optional[Iterable[str]] = None,
         until: Optional[float] = None,
-        backend: BackendSpec = None,
     ) -> Any:
         """Answer a batch query straight from the stored sketches.
+
+        Dispatch follows the process-wide
+        :class:`~repro.api.backend.BackendPolicy`: under ``auto`` every
+        kind runs its engine kernel, whatever the input's size.
 
         Parameters
         ----------
@@ -535,9 +537,6 @@ class SketchStore:
             Optional subset-query selection (``sum`` only).
         until:
             Time horizon for ``distinct`` (defaults to all of time).
-        backend:
-            Dispatch override; defaults to the process-wide
-            :class:`~repro.api.backend.BackendPolicy`.
 
         Returns
         -------
@@ -547,15 +546,9 @@ class SketchStore:
         """
         handler = SERVING_QUERY_KINDS.get(kind)
         selected = self.groups if groups is None else list(groups)
-        return handler(
-            self, groups=selected, keys=keys, until=until, backend=backend
-        )
+        return handler(self, groups=selected, keys=keys, until=until)
 
-    def distinct_batch(
-        self,
-        group_horizons: Sequence[tuple],
-        backend: BackendSpec = None,
-    ) -> List[float]:
+    def distinct_batch(self, group_horizons: Sequence[tuple]) -> List[float]:
         """``distinct`` estimates for many ``(group, until)`` pairs at once.
 
         This is the coalescing entry point behind
@@ -569,8 +562,6 @@ class SketchStore:
         ----------
         group_horizons:
             ``(group, until)`` pairs; ``until=None`` means all of time.
-        backend:
-            Dispatch override, as for :meth:`query`.
 
         Returns
         -------
@@ -584,9 +575,7 @@ class SketchStore:
         for group, until in group_horizons:
             column_groups.append(self._ads_columns(group))
             horizons.append(math.inf if until is None else float(until))
-        return batch_hip_horizon_counts(
-            column_groups, horizons, backend=backend
-        )
+        return batch_hip_horizon_counts(column_groups, horizons)
 
     def _ads_columns(self, group: str):
         """The group's cached ``(distance, threshold)`` ADS column arrays."""
@@ -602,44 +591,6 @@ class SketchStore:
             )
 
         return self.group_state(group).cached("ads_columns", columns)
-
-    def dispatch_size(
-        self,
-        kind: str,
-        groups: Optional[Sequence[str]] = None,
-        keys: Optional[Iterable[str]] = None,
-        until: Optional[float] = None,
-    ) -> int:
-        """The entry count :meth:`query` would resolve its backend on.
-
-        The query batcher uses this to resolve each request's backend
-        *individually* before coalescing, so an ``auto`` policy decides
-        exactly as it would for the sequential single-caller call —
-        coalescing never flips a dispatch decision, which is what keeps
-        coalesced answers bit-identical.
-        """
-        selected = self.groups if groups is None else list(groups)
-        if kind == "sum":
-            chosen = set(keys) if keys is not None else None
-            total = 0
-            for group in selected:
-                entries = self.sketch(group, "pps").entries
-                if chosen is None:
-                    total += len(entries)
-                else:
-                    total += sum(1 for key in entries if key in chosen)
-            return total
-        if kind == "distinct":
-            horizon = math.inf if until is None else float(until)
-            total = 0
-            for group in selected:
-                distances, _thresholds = self._ads_columns(group)
-                total += int((distances <= horizon).sum())
-            return total
-        raise ValueError(
-            f"no dispatch size for query kind {kind!r}; expected 'sum' "
-            "or 'distinct'"
-        )
 
     def retain(self, policy, now: Optional[float] = None) -> Dict[str, List[str]]:
         """Apply a retention policy to every group; see
@@ -881,7 +832,7 @@ def merge_sketch_views(
 # Built-in serving query kinds
 # ----------------------------------------------------------------------
 @SERVING_QUERY_KINDS.register("sum")
-def _query_sum(store, groups, keys, until, backend):
+def _query_sum(store, groups, keys, until):
     """Per-group HT subset-sum estimates from the PPS samples.
 
     Entries are reduced in sorted-key order, so two stores holding the
@@ -916,14 +867,12 @@ def _query_sum(store, groups, keys, until, backend):
                     if key in selected
                 ]
             )
-    sums = batch_ht_sums(
-        weight_groups, store.config.tau_star, backend=backend
-    )
+    sums = batch_ht_sums(weight_groups, store.config.tau_star)
     return dict(zip(groups, sums))
 
 
 @SERVING_QUERY_KINDS.register("distinct")
-def _query_distinct(store, groups, keys, until, backend):
+def _query_distinct(store, groups, keys, until):
     """Per-group HIP estimates of distinct keys first seen up to ``until``.
 
     The sketch entries' (distance, threshold) columns are cached in
@@ -935,14 +884,12 @@ def _query_distinct(store, groups, keys, until, backend):
     """
     if keys is not None:
         raise ValueError("'distinct' does not take a key selection")
-    counts = store.distinct_batch(
-        [(group, until) for group in groups], backend=backend
-    )
+    counts = store.distinct_batch([(group, until) for group in groups])
     return dict(zip(groups, counts))
 
 
 @SERVING_QUERY_KINDS.register("similarity")
-def _query_similarity(store, groups, keys, until, backend):
+def _query_similarity(store, groups, keys, until):
     """Weighted closeness similarity between exactly two groups.
 
     The two groups' PPS samples form a coordinated two-instance sample;
@@ -952,9 +899,8 @@ def _query_similarity(store, groups, keys, until, backend):
 
     :meth:`SketchStore.coordinated_sample` merges the groups' cached PPS
     columns into one batch, and both estimators run their kernels on
-    that same batch.  The backend policy resolves on the size of the
-    key union: ``scalar``, or ``auto`` below its threshold, estimates
-    item by item instead.  No per-item breakdown is built.
+    that same batch; under a ``scalar`` policy they estimate item by
+    item instead.  No per-item breakdown is built.
     """
     from ..aggregates.sum_estimator import SumAggregateEstimator
     from ..core.functions import MaxPower, MinPower
@@ -967,9 +913,8 @@ def _query_similarity(store, groups, keys, until, backend):
     if keys is not None:
         raise ValueError("'similarity' does not take a key selection")
     sample = store.coordinated_sample(groups)
-    policy = BackendPolicy.coerce(backend)
-    numerator = SumAggregateEstimator(MinPower(p=1.0), backend=policy)
-    denominator = SumAggregateEstimator(MaxPower(p=1.0), backend=policy)
+    numerator = SumAggregateEstimator(MinPower(p=1.0))
+    denominator = SumAggregateEstimator(MaxPower(p=1.0))
     estimate = SimilarityEstimate(
         numerator=numerator.estimate(sample).value,
         denominator=denominator.estimate(sample).value,

@@ -1,5 +1,6 @@
 """Tests for the unified BackendPolicy (and the default-drift regression)."""
 
+import dataclasses
 import inspect
 
 import pytest
@@ -24,28 +25,24 @@ class TestPolicyObject:
         with pytest.raises(ValueError, match="backend mode"):
             BackendPolicy(mode="numpy")
 
-    def test_negative_threshold_raises(self):
-        with pytest.raises(ValueError, match="auto_threshold"):
-            BackendPolicy(auto_threshold=-1)
-
     def test_fixed_modes_resolve_to_themselves(self):
-        assert BackendPolicy("scalar").resolve(10 ** 9) == "scalar"
-        assert BackendPolicy("vectorized").resolve(1) == "vectorized"
-        assert BackendPolicy("vectorized").resolve_exact(1) == "vectorized"
+        assert BackendPolicy("scalar").mode == "scalar"
+        assert BackendPolicy("scalar").resolve_exact() == "scalar"
+        assert BackendPolicy("vectorized").resolve_exact() == "vectorized"
 
-    def test_auto_dispatches_by_size(self):
-        policy = BackendPolicy("auto", auto_threshold=100)
-        assert policy.resolve(99) == "scalar"
-        assert policy.resolve(100) == "auto"
-        assert policy.resolve(None) == "auto"
-        assert policy.resolve_exact(99) == "scalar"
-        assert policy.resolve_exact(100) == "vectorized"
-        assert policy.resolve_exact(None) == "vectorized"
+    def test_auto_dispatches_by_kernel(self):
+        # ``auto`` carries no size rule: estimation paths read the mode
+        # and ask whether a kernel covers the pair; exact queries, which
+        # always have a vectorized path, resolve to it.
+        policy = BackendPolicy("auto")
+        assert policy.mode == "auto"
+        assert policy.resolve_exact() == "vectorized"
+        assert [field.name for field in dataclasses.fields(policy)] == ["mode"]
 
     def test_coerce(self):
         assert BackendPolicy.coerce(None).mode == "auto"
         assert BackendPolicy.coerce("scalar").mode == "scalar"
-        policy = BackendPolicy("vectorized", auto_threshold=7)
+        policy = BackendPolicy("vectorized")
         assert BackendPolicy.coerce(policy) is policy
         with pytest.raises(TypeError, match="backend"):
             BackendPolicy.coerce(3.14)
@@ -60,10 +57,7 @@ class TestProcessDefault:
         monkeypatch.setenv("REPRO_BACKEND", "scalar")
         assert default_backend().mode == "scalar"
         monkeypatch.setenv("REPRO_BACKEND", "vectorized")
-        monkeypatch.setenv("REPRO_BACKEND_THRESHOLD", "42")
-        policy = default_backend()
-        assert policy.mode == "vectorized"
-        assert policy.auto_threshold == 42
+        assert default_backend() == BackendPolicy("vectorized")
 
     def test_invalid_env_var_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "gpu")

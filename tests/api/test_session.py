@@ -196,26 +196,21 @@ class TestSessionDatasetEstimation:
         with pytest.raises(ValueError, match="no vectorized kernel"):
             session.estimate(dataset, rng=1)
 
-    def test_auto_threshold_switches_backend(self):
-        dataset = self._dataset(n=30)
-        small_stays_scalar = (
-            EstimationSession(
-                [1.0, 1.0], backend=BackendPolicy("auto", auto_threshold=1000)
-            )
+    def test_auto_takes_the_engine_at_any_size(self):
+        # A kernel covers L* for rg_plus, so ``auto`` streams even a
+        # two-item dataset through the engine; the value matches scalar.
+        dataset = self._dataset(n=2)
+        estimates = {
+            mode: EstimationSession([1.0, 1.0], backend=mode)
             .target("rg_plus", p=1.0)
             .estimate(dataset, rng=2)
-        )
-        large_goes_engine = (
-            EstimationSession(
-                [1.0, 1.0], backend=BackendPolicy("auto", auto_threshold=1)
-            )
-            .target("rg_plus", p=1.0)
-            .estimate(dataset, rng=2)
-        )
-        assert small_stays_scalar.backend == "scalar"
-        assert large_goes_engine.backend == "auto"
-        assert large_goes_engine.value == pytest.approx(
-            small_stays_scalar.value, abs=1e-9
+            for mode in ("scalar", "auto")
+        }
+        assert estimates["auto"].backend == "auto"
+        assert "batch_result" in estimates["auto"].metadata
+        assert "sum_estimate" in estimates["scalar"].metadata
+        assert estimates["auto"].value == pytest.approx(
+            estimates["scalar"].value, abs=1e-9
         )
 
     def test_mapping_and_array_inputs(self):
@@ -252,8 +247,7 @@ class TestSessionDatasetEstimation:
         session = EstimationSession()
         baseline = session.query("lpp", dataset, p=1.0).value
         for spec in ("scalar", "vectorized", "auto",
-                     BackendPolicy("auto", auto_threshold=1),
-                     BackendPolicy("scalar")):
+                     BackendPolicy("auto"), BackendPolicy("scalar")):
             assert session.query(
                 "lpp", dataset, p=1.0, backend=spec
             ).value == pytest.approx(baseline, rel=1e-9), spec

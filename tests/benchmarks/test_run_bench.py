@@ -37,7 +37,7 @@ class TestValidator:
             "git_sha": "abc1234",
             "python": "3.11.0",
             "numpy": "2.0.0",
-            "backend": {"mode": "auto", "auto_threshold": 64},
+            "backend": {"mode": "auto"},
             "benches": [
                 {
                     "name": "x",
@@ -46,7 +46,6 @@ class TestValidator:
                     "repeats": 3,
                     "wall_s": {"median": 0.1, "min": 0.09, "mean": 0.11},
                     "items_per_sec": 100.0,
-                    "backend_decision": "auto",
                 }
             ],
         }
@@ -71,7 +70,7 @@ class TestValidator:
                 {
                     "name": "b", "params": {}, "items": 1, "repeats": 1,
                     "wall_s": {"median": 0.0, "min": 0.0, "mean": 0.0},
-                    "items_per_sec": 1.0, "backend_decision": "auto",
+                    "items_per_sec": 1.0,
                 }
             ],
         }
@@ -106,7 +105,7 @@ def _payload(run_bench, speedups, smoke=False):
             "name": name, "params": {},
             "items": 10, "repeats": 3,
             "wall_s": {"median": 0.1, "min": 0.09, "mean": 0.11},
-            "items_per_sec": 100.0, "backend_decision": "auto",
+            "items_per_sec": 100.0,
         }
         if speedup is not None:
             bench["speedup"] = speedup
@@ -122,7 +121,7 @@ def _payload(run_bench, speedups, smoke=False):
         "git_sha": "abc1234",
         "python": "3.11.0",
         "numpy": "2.0.0",
-        "backend": {"mode": "auto", "auto_threshold": 64},
+        "backend": {"mode": "auto"},
         "smoke": smoke,
         "benches": benches,
     }

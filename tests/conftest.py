@@ -4,14 +4,19 @@ The canonical setting of the paper's examples — coordinated PPS sampling
 with ``tau* = 1`` over two-entry tuples in the unit square — appears in
 most tests, so it is provided once here, along with a deterministic
 random generator and a helper that integrates an estimator's expectation
-exactly (used by the many unbiasedness tests).
+exactly (used by the many unbiasedness tests).  ``forced_backend`` pins
+the process-wide backend policy for one block — the way to run serving
+queries, which take no per-call backend, on a forced path.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+from repro.api.backend import set_default_backend
 from repro.core.functions import ExponentiatedRange, OneSidedRange
 from repro.core.schemes import CoordinatedScheme, LinearThreshold, pps_scheme
 
@@ -46,3 +51,19 @@ def rg1() -> ExponentiatedRange:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20140715)  # PODC 2014 vintage seed
+
+
+@pytest.fixture
+def forced_backend():
+    """``with forced_backend("scalar"): ...`` runs the block under that
+    process-wide backend mode and restores the previous policy after."""
+
+    @contextmanager
+    def force(mode):
+        previous = set_default_backend(mode)
+        try:
+            yield
+        finally:
+            set_default_backend(previous)
+
+    return force

@@ -3,8 +3,7 @@
 ``execute_batch`` is pure and synchronous, so most of the contract is
 pinned without an event loop: every coalesced window must produce, slot
 for slot, exactly the object the same request would get from its own
-``store.query`` call — including the backend an ``auto`` policy would
-have picked sequentially — while issuing strictly fewer store calls.
+``store.query`` call, while issuing strictly fewer store calls.
 The async ``QueryBatcher`` adds only scheduling (windows, futures,
 watermarks) on top; its tests run real event loops via ``asyncio.run``.
 """
@@ -13,7 +12,6 @@ import asyncio
 
 import pytest
 
-from repro.api.backend import DEFAULT_AUTO_THRESHOLD
 from repro.serving import Event, SketchStore, StoreConfig
 from repro.serving.batcher import QueryBatcher, QueryRequest, execute_batch
 
@@ -46,7 +44,6 @@ def _sequential(store, request):
         groups=request.groups,
         keys=request.keys,
         until=request.until,
-        backend=request.backend,
     )
 
 
@@ -62,31 +59,25 @@ def _assert_parity(store, requests, max_calls=None):
 
 class TestExecuteBatch:
     def test_sums_coalesce_into_one_call(self):
-        # A uniform backend pins every request to one bucket; the auto
-        # policy may split buckets per request (tested separately).
+        # g1 retains 120 PPS keys and g3 only 23: group sizes never split a
+        # window, because dispatch depends on the query kind alone.
         store = _store()
         requests = [
-            QueryRequest("sum", backend="vectorized"),
-            QueryRequest("sum", groups=("g1",), backend="vectorized"),
-            QueryRequest("sum", groups=("g2", "g3"), backend="vectorized"),
-            QueryRequest("sum", groups=("g3", "g1"), backend="vectorized"),
+            QueryRequest("sum"),
+            QueryRequest("sum", groups=("g1",)),
+            QueryRequest("sum", groups=("g2", "g3")),
+            QueryRequest("sum", groups=("g3", "g1")),
+            QueryRequest("sum", groups=("g3",)),
         ]
         assert _assert_parity(store, requests, max_calls=1) == 1
 
     def test_distinct_with_mixed_horizons_coalesces(self):
         store = _store()
         requests = [
-            QueryRequest("distinct", backend="vectorized"),
-            QueryRequest(
-                "distinct", groups=("g1",), until=60.0, backend="vectorized"
-            ),
-            QueryRequest(
-                "distinct",
-                groups=("g1", "g2"),
-                until=60.0,
-                backend="vectorized",
-            ),
-            QueryRequest("distinct", groups=("g3",), backend="vectorized"),
+            QueryRequest("distinct"),
+            QueryRequest("distinct", groups=("g1",), until=60.0),
+            QueryRequest("distinct", groups=("g1", "g2"), until=60.0),
+            QueryRequest("distinct", groups=("g3",)),
         ]
         assert _assert_parity(store, requests, max_calls=1) == 1
 
@@ -99,46 +90,36 @@ class TestExecuteBatch:
         ]
         assert _assert_parity(store, requests, max_calls=2) == 2
 
-    def test_mixed_kinds_share_calls_within_kind(self):
+    def test_mixed_kinds_share_calls_within_kind(self, forced_backend):
         store = _store()
         requests = [
-            QueryRequest("sum", backend="scalar"),
-            QueryRequest("distinct", until=100.0, backend="scalar"),
-            QueryRequest("sum", groups=("g2",), backend="scalar"),
-            QueryRequest("distinct", groups=("g1",), backend="scalar"),
+            QueryRequest("sum"),
+            QueryRequest("distinct", until=100.0),
+            QueryRequest("sum", groups=("g2",)),
+            QueryRequest("distinct", groups=("g1",)),
             QueryRequest("similarity", groups=("g1", "g2")),
         ]
-        assert _assert_parity(store, requests, max_calls=3) == 3
+        with forced_backend("scalar"):
+            assert _assert_parity(store, requests, max_calls=3) == 3
 
-    def test_forced_backends_split_buckets_but_not_answers(self):
+    def test_forced_backends_give_identical_answers(self, forced_backend):
         store = _store()
         requests = [
-            QueryRequest("sum", backend="scalar"),
-            QueryRequest("sum", backend="vectorized"),
-            QueryRequest("sum", groups=("g1",), backend="scalar"),
+            QueryRequest("sum"),
+            QueryRequest("distinct", until=100.0),
+            QueryRequest("sum", groups=("g1",)),
         ]
-        results, errors, calls = execute_batch(store, requests)
-        assert errors == [None, None, None]
-        assert calls == 2  # one call per forced mode
-        assert results[0] == _sequential(store, requests[0])
-        # Across backends the estimates must still agree to float noise.
-        assert results[0]["g1"] == pytest.approx(results[1]["g1"])
-
-    def test_auto_dispatch_resolves_per_request(self):
-        # g1 retains more keys than the auto threshold, g3 fewer — under
-        # one coalesced window the two requests must still resolve to
-        # the backends their own sequential calls would use, and
-        # therefore cannot share a store call.
-        store = _store()
-        big = QueryRequest("sum", groups=("g1",))
-        small = QueryRequest("sum", groups=("g3",))
-        assert store.dispatch_size("sum", ("g1",)) >= DEFAULT_AUTO_THRESHOLD
-        assert store.dispatch_size("sum", ("g3",)) < DEFAULT_AUTO_THRESHOLD
-        results, errors, calls = execute_batch(store, [big, small])
-        assert errors == [None, None]
-        assert calls == 2
-        assert results[0] == _sequential(store, big)
-        assert results[1] == _sequential(store, small)
+        windows = {}
+        for mode in ("scalar", "vectorized"):
+            with forced_backend(mode):
+                results, errors, calls = execute_batch(store, requests)
+                assert errors == [None, None, None]
+                assert calls == 2  # one per kind
+                assert results[0] == _sequential(store, requests[0])
+            windows[mode] = results
+        # The serving kernels fold each group left to right on both
+        # paths, so the backends agree exactly, not just to float noise.
+        assert windows["scalar"] == windows["vectorized"]
 
     def test_keyed_sums_run_individually_and_exactly(self):
         store = _store()

@@ -172,6 +172,28 @@ class TestRoutedParity:
 
         asyncio.run(run())
 
+    def test_wire_backend_field_is_ignored(self):
+        # An older client's per-request ``backend`` rides through the
+        # router to the fused store, which ignores it like a server does.
+        async def run():
+            feed = synthetic_feed(
+                150, num_keys=25, groups=("g1", "g2"), seed=13
+            )
+            async with router_cluster(2) as (_router, client, _servers):
+                await client.ingest(feed)
+                for frame in (
+                    {"kind": "sum"},
+                    {"kind": "distinct", "until": 75.0},
+                    {"kind": "similarity", "groups": ["g1", "g2"]},
+                ):
+                    plain = await client.request("query", **frame)
+                    legacy = await client.request(
+                        "query", backend="scalar", **frame
+                    )
+                    assert legacy["result"] == plain["result"], frame
+
+        asyncio.run(run())
+
     def test_answer_reports_the_cut_of_its_gathered_views(self):
         async def run():
             feed = synthetic_feed(

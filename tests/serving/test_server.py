@@ -69,6 +69,35 @@ class TestProtocol:
             reference.query("similarity", groups=["u", "v"])
         )
 
+    def test_wire_backend_field_is_ignored(self):
+        # Older clients send a per-request ``backend``; dispatch follows
+        # the server's own policy, so the field changes no answer.
+        frames = [
+            {"kind": "sum"},
+            {"kind": "distinct", "until": 150.0},
+            {"kind": "similarity", "groups": ["u", "v"]},
+        ]
+
+        async def run():
+            async with SketchServer(_store()) as server:
+                client = await ServingClient.connect(*server.address)
+                try:
+                    return [
+                        (
+                            await client.request("query", **frame),
+                            await client.request(
+                                "query", backend="scalar", **frame
+                            ),
+                        )
+                        for frame in frames
+                    ]
+                finally:
+                    await client.close()
+
+        for plain, legacy in asyncio.run(run()):
+            assert plain["ok"] and legacy["ok"]
+            assert legacy["result"] == plain["result"]
+
     def test_ingest_advances_the_watermark_and_the_answers(self):
         store = _store()
 

@@ -10,10 +10,10 @@ one :class:`SumAggregateEstimator` each for ``sum min`` and ``sum max``.
 Covered: every pair of a small feed, keys whose ``repr`` order differs
 from their ``str`` order, non-ASCII keys, a very long key (whose columns
 must cost its own length, not that length per key), empty and absent
-groups, pairs below the ``auto`` threshold, every backend spec, the
-cache-invalidating mutations (append-only ingest, updating ingest,
-retention), snapshot and WAL-only recovery, and a two-shard router.  A seeds × preload-size grid
-runs under ``pytest -m slow``.
+groups, a 16-key pair (which must still run the kernels), every backend
+spec, the cache-invalidating mutations (append-only ingest, updating
+ingest, retention), snapshot and WAL-only recovery, and a two-shard
+router.  A seeds × preload-size grid runs under ``pytest -m slow``.
 """
 
 import asyncio
@@ -25,8 +25,9 @@ import pytest
 
 from repro.aggregates.coordinated import CoordinatedSample, InstanceSample
 from repro.aggregates.sum_estimator import SumAggregateEstimator
-from repro.api.backend import BackendPolicy
+from repro.api.backend import set_default_backend
 from repro.core.functions import MaxPower, MinPower
+from repro.engine.kernels import MaxPowerPPSKernel, MinPowerPPSKernel
 from repro.graphs.similarity import SimilarityEstimate
 from repro.serving import (
     Event,
@@ -51,7 +52,7 @@ ODD_KEYS = (
 )
 
 
-def reference_similarity(store, groups, backend=None):
+def reference_similarity(store, groups):
     """``similarity`` through the generic dict-based sample and estimators."""
     samples = []
     seeds = {}
@@ -64,21 +65,25 @@ def reference_similarity(store, groups, backend=None):
         )
         seeds.update(pps.seeds)
     sample = CoordinatedSample.from_instance_samples(samples, seeds)
-    policy = BackendPolicy.coerce(backend)
     return SimilarityEstimate(
-        numerator=SumAggregateEstimator(MinPower(p=1.0), backend=policy)
-        .estimate(sample)
-        .value,
-        denominator=SumAggregateEstimator(MaxPower(p=1.0), backend=policy)
+        numerator=SumAggregateEstimator(MinPower(p=1.0)).estimate(sample).value,
+        denominator=SumAggregateEstimator(MaxPower(p=1.0))
         .estimate(sample)
         .value,
     ).value
 
 
 def assert_pairs_match(store, pairs, backends=(None,)):
+    """Each pair ``==`` its reference with ``backend`` installed as the
+    process-wide policy (store queries take no per-call backend)."""
     for pair, backend in itertools.product(pairs, backends):
-        answer = store.query("similarity", groups=list(pair), backend=backend)
-        assert answer == reference_similarity(store, pair, backend), (pair, backend)
+        previous = set_default_backend(backend)
+        try:
+            answer = store.query("similarity", groups=list(pair))
+            expected = reference_similarity(store, pair)
+        finally:
+            set_default_backend(previous)
+        assert answer == expected, (pair, backend)
 
 
 def feed(events=600, keys=150, seed=5):
@@ -177,11 +182,33 @@ class TestSimilarityParity:
         )
         assert store.query("similarity", groups=["empty", "absent"]) == 1.0
 
-    def test_pair_below_the_auto_threshold(self):
-        store = store_of(feed(events=60, keys=30))
-        union = len(store.coordinated_sample(["a", "b"]).sampled_items())
-        assert 0 < union < BackendPolicy.coerce("auto").auto_threshold
-        assert_pairs_match(store, [("a", "b")], BACKENDS)
+    def test_sixteen_key_pair_runs_the_kernels(self, monkeypatch):
+        # Two 16-key groups whose union is 24 keys: under ``auto`` the
+        # min/max L* closed forms still run as engine kernels, not as a
+        # per-item loop.
+        events = [
+            Event(f"k{i}", 1.0 + i % 5, float(i), group)
+            for group, keys in (("u", range(16)), ("v", range(8, 24)))
+            for i in keys
+        ]
+        store = store_of(events, StoreConfig(tau_star=0.5, salt="small"))
+        assert len(store.sketch("u", "pps")) == len(store.sketch("v", "pps")) == 16
+        assert len(store.coordinated_sample(["u", "v"]).sampled_items()) == 24
+        calls = []
+        for kernel in (MinPowerPPSKernel, MaxPowerPPSKernel):
+            original = kernel.estimate_batch
+
+            def spy(self, batch, original=original):
+                calls.append(type(self).__name__)
+                return original(self, batch)
+
+            monkeypatch.setattr(kernel, "estimate_batch", spy)
+        assert_pairs_match(store, [("u", "v")], ("auto",))
+        assert calls.count("MinPowerPPSKernel") == 2  # answer + reference
+        assert calls.count("MaxPowerPPSKernel") == 2
+        calls.clear()
+        assert_pairs_match(store, [("u", "v")], ("scalar",))
+        assert calls == []
 
 
 class TestColumnInvalidation:
